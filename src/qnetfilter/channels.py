@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ID2, SIGMA_X, kron, validate_density
+from .core import ID2, SIGMA_X, validate_density
 
 __all__ = [
     "KrausChannel",
     "bit_flip",
     "amplitude_damping",
     "apply_channel",
-    "apply_channel_both_qubits",
 ]
 
 COMPLETENESS_ATOL = 1e-10
@@ -111,17 +110,12 @@ def apply_channel(rho: np.ndarray, channel: KrausChannel, sides: str = "both") -
         raise ValueError(f"sides must be one of {SIDES}, got {sides!r}")
     mat = np.asarray(rho, dtype=complex)
     if sides == "left":
-        pairs = [kron(op, ID2) for op in channel.ops]
+        pairs = [np.kron(op, ID2) for op in channel.ops]
     elif sides == "right":
-        pairs = [kron(ID2, op) for op in channel.ops]
+        pairs = [np.kron(ID2, op) for op in channel.ops]
     else:
-        pairs = [kron(op_a, op_b) for op_a in channel.ops for op_b in channel.ops]
+        pairs = [np.kron(op_a, op_b) for op_a in channel.ops for op_b in channel.ops]
     out = np.zeros((4, 4), dtype=complex)
     for op in pairs:
         out += op @ mat @ op.conj().T
     return validate_density(out)
-
-
-def apply_channel_both_qubits(rho: np.ndarray, channel: KrausChannel) -> np.ndarray:
-    """Shorthand for apply_channel(rho, channel, sides="both")."""
-    return apply_channel(rho, channel, sides="both")

@@ -17,7 +17,9 @@ Exit codes: 0 success, 1 reproduction or cross-check failure, 2 config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -25,7 +27,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.optimize import bisect, minimize
+from scipy.optimize import bisect
 
 from .config import (
     ConfigError,
@@ -33,12 +35,14 @@ from .config import (
     build_settings,
     config_seed,
     config_with_values,
+    get_path,
     load_config,
     scan_axes,
 )
 from .filtering import FilterAnnihilatesState, NetworkFilterSpec
 from .nlocal import (
     DimensionTooLarge,
+    EvalResult,
     MeasurementSettings,
     NetworkSpec,
     b_lin,
@@ -47,9 +51,9 @@ from .nlocal import (
     conjecture_search,
     evaluate,
     lhs_at_settings,
+    nelder_mead,
 )
-from .states import grud_state, product_state, pure_theta_state, werner_state, x_state
-from .channels import amplitude_damping, apply_channel, bit_flip
+from .states import product_state
 
 __all__ = ["main", "NoCrossing", "UnknownExample"]
 
@@ -91,18 +95,14 @@ def _print_json(payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _eval_payload(result: EvalResult) -> dict:
+    """The result's fields in order; lhs_at_settings only when settings were given."""
+    return {key: value for key, value in dataclasses.asdict(result).items() if value is not None}
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    result = evaluate(build_network(cfg), build_settings(cfg))
-    payload = {
-        "b_lin": result.b_lin,
-        "b_seq": result.b_seq,
-        "success_prob": result.success_prob,
-        "violation": result.violation,
-    }
-    if result.lhs_at_settings is not None:
-        payload["lhs_at_settings"] = result.lhs_at_settings
-    _print_json(payload)
+    _print_json(_eval_payload(evaluate(build_network(cfg), build_settings(cfg))))
     return 0
 
 
@@ -132,23 +132,35 @@ def cmd_scan(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     header, rows = _scan_rows(cfg)
     if args.out is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        target = contextlib.nullcontext(sys.stdout)
+    else:
+        target = open(args.out, "w", newline="", encoding="utf-8")
+    with target as handle:
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    else:
-        with open(args.out, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
     return 0
 
 
-def _bound_at(cfg: dict, path: str, value: float, target: str) -> float:
-    point_cfg = config_with_values(cfg, {path: float(value)})
-    spec = build_network(point_cfg)
-    if target == "b_lin":
-        return b_lin(list(spec.links))
-    return b_seq(spec)[0]
+def _threshold(cfg: dict, path: str, lo: float, hi: float, target: str) -> float:
+    """Bisect where ``target`` crosses 1 as the config value at ``path`` runs from lo to hi."""
+
+    def objective(value: float) -> float:
+        spec = build_network(config_with_values(cfg, {path: float(value)}))
+        bound = b_lin(list(spec.links)) if target == "b_lin" else b_seq(spec)[0]
+        return bound - 1.0
+
+    f_lo, f_hi = objective(lo), objective(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if f_lo * f_hi > 0.0:
+        raise NoCrossing(
+            f"{target} - 1 has the same sign at both endpoints "
+            f"({f_lo:+.3e} at {_fmt(lo)}, {f_hi:+.3e} at {_fmt(hi)})"
+        )
+    return float(bisect(objective, lo, hi, xtol=1e-4))
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
@@ -156,24 +168,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     matching = [axis for axis in scan_axes(cfg) if axis.path == args.axis]
     if len(matching) != 1:
         raise ConfigError(f"scan block must contain exactly one axis with path {args.axis!r}")
-    axis = matching[0]
-    lo, hi = float(axis.values[0]), float(axis.values[-1])
-
-    def objective(value: float) -> float:
-        return _bound_at(cfg, args.axis, value, args.target) - 1.0
-
-    f_lo, f_hi = objective(lo), objective(hi)
-    if f_lo == 0.0:
-        root = lo
-    elif f_hi == 0.0:
-        root = hi
-    elif f_lo * f_hi > 0.0:
-        raise NoCrossing(
-            f"{args.target} - 1 has the same sign at both endpoints "
-            f"({f_lo:+.3e} at {_fmt(lo)}, {f_hi:+.3e} at {_fmt(hi)})"
-        )
-    else:
-        root = float(bisect(objective, lo, hi, xtol=1e-4))
+    lo, hi = float(matching[0].values[0]), float(matching[0].values[-1])
+    root = _threshold(cfg, args.axis, lo, hi, args.target)
     _print_json({"axis": args.axis, "target": args.target, "range": [lo, hi], "threshold": root})
     return 0
 
@@ -182,8 +178,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     free = [token.strip() for token in args.free.split(",") if token.strip()]
     seed = args.seed if args.seed is not None else config_seed(cfg)
-    from .config import get_path
-
     for path in free:
         if not path.startswith("filters."):
             raise ConfigError(f"--free path {path!r} must reference a filter entry")
@@ -205,33 +199,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     start = np.array([float(get_path(cfg, path)) for path in free])
     rng = np.random.default_rng(seed)
     starts = [start] + [rng.uniform(0.0, 1.0, size=len(free)) for _ in range(16)]
-    bounds = [(0.0, 1.0)] * len(free)
-    best_value = -np.inf
-    best_x = start
-    for x0 in starts:
-        result = minimize(
-            negative_b_seq,
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000, "maxfev": 4000},
-        )
-        if -result.fun > best_value:
-            best_value = -result.fun
-            best_x = result.x
+    _, best_x = nelder_mead(negative_b_seq, starts, [(0.0, 1.0)] * len(free))
     argmax = dict(zip(free, (float(v) for v in best_x)))
     final = evaluate(build_network(config_with_values(cfg, argmax)))
     _print_json({"seed": seed, "free": free, "argmax": argmax, "best": _eval_payload(final)})
     return 0
-
-
-def _eval_payload(result) -> dict:
-    return {
-        "b_lin": result.b_lin,
-        "b_seq": result.b_seq,
-        "success_prob": result.success_prob,
-        "violation": result.violation,
-    }
 
 
 def _random_settings(rng: np.random.Generator) -> MeasurementSettings:
@@ -276,208 +248,53 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def _report(label: str, expected: float, tol: float, computed: float) -> bool:
     passed = abs(computed - expected) <= tol
-    print(
-        f"{label}: expected {expected:g} (tol {tol:g}), computed {_fmt(computed)}"
-        f" -> {'PASS' if passed else 'FAIL'}"
-    )
+    verdict = "PASS" if passed else "FAIL"
+    print(f"{label}: expected {expected:g} (tol {tol:g}), computed {_fmt(computed)} -> {verdict}")
     return passed
 
 
-def _reproduce_bilocal_grud() -> bool:
-    spec = NetworkSpec(
-        links=(grud_state(0.1, 0.23), grud_state(0.99, 0.44)),
-        filters=NetworkFilterSpec(middle=((0.8, 0.97),)),
-    )
-    result = evaluate(spec)
-    ok = _report("b_lin", 0.8871, 5e-4, result.b_lin)
-    ok &= _report("b_seq", 1.081, 2e-3, result.b_seq)
-    ok &= _report("success_prob", 0.62, 0.02, result.success_prob)
-    return ok
+def _run_point(config: dict, checks: list) -> bool:
+    """Compare the named EvalResult fields of one configuration with references."""
+    result = evaluate(build_network(config))
+    # A list, not a generator: every check is printed, also after a FAIL.
+    return all([_report(field, expected, tol, getattr(result, field)) for field, expected, tol in checks])
 
 
-def _reproduce_bilocal_grud_allfilter() -> bool:
-    # End filters fixed, intermediate filters and v1 free; the reference
-    # claims a hidden-violation region with success >= 0.30 exists.
-    x1, x2, v2 = 0.23, 0.34, 0.15
+def _run_region(label: str, config: dict, min_success: float | None) -> bool:
+    """Report the hidden violation (b_lin <= 1 < b_seq) with the largest b_seq on the scan grid."""
+    axes = scan_axes(config)
+    paths = [axis.path for axis in axes]
     best = None
-    for v1 in np.linspace(0.0, 1.0, 11):
-        link1 = grud_state(float(v1), x1)
-        link2 = grud_state(v2, x2)
-        for eps_a in np.linspace(0.1, 1.0, 10):
-            for eps_b in np.linspace(0.1, 1.0, 10):
-                spec = NetworkSpec(
-                    links=(link1, link2),
-                    filters=NetworkFilterSpec(
-                        eps_first=0.95,
-                        eps_last=0.76,
-                        middle=((float(eps_a), float(eps_b)),),
-                    ),
-                )
-                result = evaluate(spec)
-                if result.b_lin <= 1.0 and result.b_seq > 1.0 and result.success_prob >= 0.30:
-                    point = (float(v1), float(eps_a), float(eps_b))
-                    if best is None or result.b_seq > best[1]:
-                        best = (point, result.b_seq, result.success_prob)
-    if best is None:
-        print(
-            "region search over (v1, eps2_1, eps2_2) at end filters (0.95, 0.76): "
-            "no grid point with b_lin <= 1, b_seq > 1, success >= 0.30"
-        )
-        return False
-    point, bound, success = best
-    print(
-        f"witness at (v1, eps2_1, eps2_2) = ({_fmt(point[0])}, {_fmt(point[1])}, {_fmt(point[2])}): "
-        f"b_seq {_fmt(bound)}, success {_fmt(success)}"
-    )
-    return True
-
-
-def _reproduce_trilocal_grud() -> bool:
-    spec = NetworkSpec(
-        links=(
-            grud_state(0.1, 0.3455),
-            grud_state(0.12, 0.5586),
-            grud_state(0.1, 0.7799),
-        ),
-        filters=NetworkFilterSpec(middle=((0.6362, 0.99), (0.989, 0.989))),
-    )
-    result = evaluate(spec)
-    ok = _report("b_lin", 0.9888, 5e-4, result.b_lin)
-    ok &= _report("b_seq", 1.2332, 2e-3, result.b_seq)
-    ok &= _report("success_prob", 0.44, 0.02, result.success_prob)
-    return ok
-
-
-def _region_search(
-    label: str, points, build_spec
-) -> bool:
-    best = None
-    for point in points:
+    for point in itertools.product(*[axis.values for axis in axes]):
+        values = dict(zip(paths, (float(v) for v in point)))
         try:
-            result = evaluate(build_spec(*point))
+            result = evaluate(build_network(config_with_values(config, values)))
         except FilterAnnihilatesState:
             continue
-        if result.b_lin <= 1.0 and result.b_seq > 1.0:
-            if best is None or result.b_seq > best[1]:
-                best = (point, result.b_seq)
+        hidden = result.b_lin <= 1.0 < result.b_seq
+        if hidden and (min_success is None or result.success_prob >= min_success):
+            if best is None or result.b_seq > best[1].b_seq:
+                best = (point, result)
     if best is None:
-        print(f"region search over {label}: no grid point with b_lin <= 1 and b_seq > 1")
+        floor = "" if min_success is None else f", success >= {min_success:.2f}"
+        print(f"region search over {label}: no grid point with b_lin <= 1 and b_seq > 1{floor}")
         return False
-    coords = ", ".join(_fmt(float(v)) for v in best[0])
-    print(f"witness at {label} = ({coords}): b_seq {_fmt(best[1])}")
+    point, result = best
+    coords = ", ".join(_fmt(float(v)) for v in point)
+    success = "" if min_success is None else f", success {_fmt(result.success_prob)}"
+    print(f"witness at {label} = ({coords}): b_seq {_fmt(result.b_seq)}{success}")
     return True
 
 
-def _reproduce_bilocal_werner() -> bool:
-    # One separable-regime partner: Werner link with p2 in [0.25, 0.30],
-    # intermediate filters (0.46, 1).
-    points = itertools.product(
-        np.linspace(0.0, 1.0, 11),
-        np.linspace(0.0, np.pi / 4.0, 11),
-        np.linspace(0.25, 0.30, 6),
-    )
-
-    def build(v1: float, x1: float, p2: float) -> NetworkSpec:
-        return NetworkSpec(
-            links=(grud_state(float(v1), float(x1)), werner_state(float(p2))),
-            filters=NetworkFilterSpec(middle=((0.46, 1.0),)),
-        )
-
-    return _region_search("(v1, x1, p2)", points, build)
-
-
-def _reproduce_trilocal_werner() -> bool:
-    # The middle source again stays in the separable Werner range.
-    points = itertools.product(
-        np.linspace(0.0, 1.0, 9),
-        np.linspace(0.0, np.pi / 4.0, 9),
-        np.linspace(0.25, 0.30, 6),
-    )
-
-    def build(v3: float, x3: float, p2: float) -> NetworkSpec:
-        return NetworkSpec(
-            links=(
-                grud_state(0.07, 0.3),
-                werner_state(float(p2)),
-                grud_state(float(v3), float(x3)),
-            ),
-            filters=NetworkFilterSpec(middle=((0.762, 0.038), (0.038, 1.0))),
-        )
-
-    return _region_search("(v3, x3, p2)", points, build)
-
-
-def _reproduce_xstate_pair() -> bool:
-    spec = NetworkSpec(
-        links=(x_state(0.2, 0.1, 0.7, 0.15), x_state(0.86, 0.0, 0.14, 0.33)),
-        filters=NetworkFilterSpec(eps_first=0.77, eps_last=0.77, middle=((0.77, 0.77),)),
-    )
-    result = evaluate(spec)
-    ok = _report("b_lin", 0.999, 5e-4, result.b_lin)
-    ok &= _report("b_seq", 1.023, 2e-3, result.b_seq)
-    ok &= _report("success_prob", 0.37, 0.02, result.success_prob)
-    return ok
-
-
-def _noisy_pure_pair(
-    theta: float, p_first: float, p_second: float, noise
-) -> tuple[np.ndarray, np.ndarray]:
-    base = pure_theta_state(theta)
-    return (
-        apply_channel(base, noise(p_first), sides="both"),
-        apply_channel(base, noise(p_second), sides="both"),
-    )
-
-
-def _threshold_on_axis(build, lo: float, hi: float) -> float:
-    def objective(value: float) -> float:
-        return build(value) - 1.0
-
-    f_lo, f_hi = objective(lo), objective(hi)
-    if f_lo * f_hi > 0.0:
-        raise NoCrossing(
-            f"bound - 1 has the same sign at both endpoints ({f_lo:+.3e}, {f_hi:+.3e})"
-        )
-    return float(bisect(objective, lo, hi, xtol=1e-4))
-
-
-def _reproduce_bitflip_threshold() -> bool:
-    theta, p2 = 0.62, 0.15
-
-    def unfiltered(p1: float) -> float:
-        links = _noisy_pure_pair(theta, float(p1), p2, bit_flip)
-        return b_lin(list(links))
-
-    def filtered(p1: float) -> float:
-        links = _noisy_pure_pair(theta, float(p1), p2, bit_flip)
-        spec = NetworkSpec(links=links, filters=NetworkFilterSpec(middle=((0.98, 0.79),)))
-        return b_seq(spec)[0]
-
-    ok = _report("p1* (no filters)", 0.214, 5e-3, _threshold_on_axis(unfiltered, 0.0, 0.4))
-    ok &= _report("p1* (filters 0.98, 0.79)", 0.235, 5e-3, _threshold_on_axis(filtered, 0.0, 0.4))
-    return ok
-
-
-def _reproduce_damping_threshold() -> bool:
-    theta, gamma1 = 0.55, 0.21
-
-    def unfiltered(gamma2: float) -> float:
-        links = _noisy_pure_pair(theta, gamma1, float(gamma2), amplitude_damping)
-        return b_lin(list(links))
-
-    def filtered(gamma2: float) -> float:
-        links = _noisy_pure_pair(theta, gamma1, float(gamma2), amplitude_damping)
-        spec = NetworkSpec(
-            links=links,
-            filters=NetworkFilterSpec(eps_first=0.78, eps_last=0.79, middle=((0.22, 0.1),)),
-        )
-        return b_seq(spec)[0]
-
-    ok = _report("gamma2* (no filters)", 0.2, 0.01, _threshold_on_axis(unfiltered, 0.0, 0.9))
-    ok &= _report(
-        "gamma2* (filters 0.78, (0.22, 0.1), 0.79)", 0.54, 0.01, _threshold_on_axis(filtered, 0.0, 0.9)
-    )
-    return ok
+def _run_thresholds(config: dict, checks: list) -> bool:
+    """Bisect each target bound along the config's single scan axis and compare."""
+    (axis,) = scan_axes(config)
+    lo, hi = float(axis.values[0]), float(axis.values[-1])
+    reports = [
+        _report(label, expected, tol, _threshold(config, axis.path, lo, hi, target))
+        for label, target, expected, tol in checks
+    ]
+    return all(reports)
 
 
 def _random_density(rng: np.random.Generator) -> np.ndarray:
@@ -492,7 +309,7 @@ def _random_bloch(rng: np.random.Generator) -> np.ndarray:
     return vec * rng.uniform() ** (1.0 / 3.0)
 
 
-def _reproduce_theorem1(seed: int = 0, specs: int = 1000) -> bool:
+def _theorem1(seed: int, specs: int) -> bool:
     # Chains containing at least one product link can never exceed 1 after
     # filtering, whatever the other links and filter strengths are.
     rng = np.random.default_rng(seed)
@@ -522,27 +339,126 @@ def _reproduce_theorem1(seed: int = 0, specs: int = 1000) -> bool:
     return max_bound <= 1.0 + BOUND_SLACK
 
 
-def _reproduce_conjecture_search(seed: int = 0, trials: int = 10000) -> bool:
+def _conjecture_search(seed: int, trials: int) -> bool:
     report = conjecture_search(trials, seed=seed)
     print(
-        f"seed {report.seed}, {report.trials} filtered bilocal pairs with b_lin <= 1: "
-        f"max b_seq {_fmt(report.max_b_seq)}, max closed-form deviation "
-        f"{report.max_closed_form_dev:.3e}"
+        f"seed {report.seed}, {report.trials} filtered bilocal pairs with b_lin <= 1: max b_seq "
+        f"{_fmt(report.max_b_seq)}, max closed-form deviation {report.max_closed_form_dev:.3e}"
     )
     return report.max_b_seq <= 1.0 + BOUND_SLACK and report.max_closed_form_dev <= ORACLE_ATOL
 
 
+# Each scenario is a runner and its arguments.  ``config`` is a config in the
+# schema that eval, scan and threshold read; ``checks`` pairs a label (an
+# EvalResult field, or a label and a target bound for thresholds) with the
+# reference value and its tolerance.
 _REPRODUCTIONS = {
-    "bilocal-grud": _reproduce_bilocal_grud,
-    "bilocal-grud-allfilter": _reproduce_bilocal_grud_allfilter,
-    "trilocal-grud": _reproduce_trilocal_grud,
-    "bilocal-werner": _reproduce_bilocal_werner,
-    "trilocal-werner": _reproduce_trilocal_werner,
-    "xstate-pair": _reproduce_xstate_pair,
-    "bitflip-threshold": _reproduce_bitflip_threshold,
-    "damping-threshold": _reproduce_damping_threshold,
-    "theorem1": _reproduce_theorem1,
-    "conjecture-search": _reproduce_conjecture_search,
+    "bilocal-grud": (_run_point, {
+        "config": {
+            "links": [{"family": "grud", "v": 0.1, "x": 0.23}, {"family": "grud", "v": 0.99, "x": 0.44}],
+            "filters": {"middle": [[0.8, 0.97]]},
+        },
+        "checks": [["b_lin", 0.8871, 5e-4], ["b_seq", 1.081, 2e-3], ["success_prob", 0.62, 0.02]],
+    }),
+    # End filters fixed, intermediate filters and v1 free; the reference
+    # claims a hidden-violation region with success >= 0.30 exists.
+    "bilocal-grud-allfilter": (_run_region, {
+        "label": "(v1, eps2_1, eps2_2)", "min_success": 0.30,
+        "config": {
+            "links": [{"family": "grud", "v": 0.0, "x": 0.23}, {"family": "grud", "v": 0.15, "x": 0.34}],
+            "filters": {"first": 0.95, "last": 0.76, "middle": [[1.0, 1.0]]},
+            "scan": {"axes": [
+                {"path": "links.0.v", "min": 0.0, "max": 1.0, "steps": 11},
+                {"path": "filters.middle.0.0", "min": 0.1, "max": 1.0, "steps": 10},
+                {"path": "filters.middle.0.1", "min": 0.1, "max": 1.0, "steps": 10},
+            ]},
+        },
+    }),
+    "trilocal-grud": (_run_point, {
+        "config": {
+            "links": [
+                {"family": "grud", "v": 0.1, "x": 0.3455},
+                {"family": "grud", "v": 0.12, "x": 0.5586},
+                {"family": "grud", "v": 0.1, "x": 0.7799},
+            ],
+            "filters": {"middle": [[0.6362, 0.99], [0.989, 0.989]]},
+        },
+        "checks": [["b_lin", 0.9888, 5e-4], ["b_seq", 1.2332, 2e-3], ["success_prob", 0.44, 0.02]],
+    }),
+    # One separable-regime partner: Werner link with p2 in [0.25, 0.30],
+    # intermediate filters (0.46, 1).
+    "bilocal-werner": (_run_region, {
+        "label": "(v1, x1, p2)", "min_success": None,
+        "config": {
+            "links": [{"family": "grud", "v": 0.0, "x": 0.0}, {"family": "werner", "p": 0.25}],
+            "filters": {"middle": [[0.46, 1.0]]},
+            "scan": {"axes": [
+                {"path": "links.0.v", "min": 0.0, "max": 1.0, "steps": 11},
+                {"path": "links.0.x", "min": 0.0, "max": np.pi / 4.0, "steps": 11},
+                {"path": "links.1.p", "min": 0.25, "max": 0.30, "steps": 6},
+            ]},
+        },
+    }),
+    # The middle source again stays in the separable Werner range.
+    "trilocal-werner": (_run_region, {
+        "label": "(v3, x3, p2)", "min_success": None,
+        "config": {
+            "links": [
+                {"family": "grud", "v": 0.07, "x": 0.3},
+                {"family": "werner", "p": 0.25},
+                {"family": "grud", "v": 0.0, "x": 0.0},
+            ],
+            "filters": {"middle": [[0.762, 0.038], [0.038, 1.0]]},
+            "scan": {"axes": [
+                {"path": "links.2.v", "min": 0.0, "max": 1.0, "steps": 9},
+                {"path": "links.2.x", "min": 0.0, "max": np.pi / 4.0, "steps": 9},
+                {"path": "links.1.p", "min": 0.25, "max": 0.30, "steps": 6},
+            ]},
+        },
+    }),
+    "xstate-pair": (_run_point, {
+        "config": {
+            "links": [
+                {"family": "x", "x1": 0.2, "x2": 0.1, "x3": 0.7, "x4": 0.15},
+                {"family": "x", "x1": 0.86, "x2": 0.0, "x3": 0.14, "x4": 0.33},
+            ],
+            "filters": {"first": 0.77, "last": 0.77, "middle": [[0.77, 0.77]]},
+        },
+        "checks": [["b_lin", 0.999, 5e-4], ["b_seq", 1.023, 2e-3], ["success_prob", 0.37, 0.02]],
+    }),
+    # b_lin ignores the filters, so one config serves both targets.
+    "bitflip-threshold": (_run_thresholds, {
+        "config": {
+            "links": [{"family": "pure_theta", "theta": 0.62}, {"family": "pure_theta", "theta": 0.62}],
+            "channels": [
+                {"link": 1, "type": "bit_flip", "param": 0.0},
+                {"link": 2, "type": "bit_flip", "param": 0.15},
+            ],
+            "filters": {"middle": [[0.98, 0.79]]},
+            "scan": {"axes": [{"path": "channels.0.param", "min": 0.0, "max": 0.4, "steps": 2}]},
+        },
+        "checks": [
+            ["p1* (no filters)", "b_lin", 0.214, 5e-3],
+            ["p1* (filters 0.98, 0.79)", "b_seq", 0.235, 5e-3],
+        ],
+    }),
+    "damping-threshold": (_run_thresholds, {
+        "config": {
+            "links": [{"family": "pure_theta", "theta": 0.55}, {"family": "pure_theta", "theta": 0.55}],
+            "channels": [
+                {"link": 1, "type": "amplitude_damping", "param": 0.21},
+                {"link": 2, "type": "amplitude_damping", "param": 0.0},
+            ],
+            "filters": {"first": 0.78, "last": 0.79, "middle": [[0.22, 0.1]]},
+            "scan": {"axes": [{"path": "channels.1.param", "min": 0.0, "max": 0.9, "steps": 2}]},
+        },
+        "checks": [
+            ["gamma2* (no filters)", "b_lin", 0.2, 0.01],
+            ["gamma2* (filters 0.78, (0.22, 0.1), 0.79)", "b_seq", 0.54, 0.01],
+        ],
+    }),
+    "theorem1": (_theorem1, {"seed": 0, "specs": 1000}),
+    "conjecture-search": (_conjecture_search, {"seed": 0, "trials": 10000}),
 }
 
 
@@ -551,7 +467,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         known = ", ".join(sorted(_REPRODUCTIONS))
         raise UnknownExample(f"unknown reproduction id {args.id!r}; known ids: {known}")
     print(f"# reproduce {args.id}")
-    passed = _REPRODUCTIONS[args.id]()
+    run, fields = _REPRODUCTIONS[args.id]
+    passed = run(**fields)
     print(f"result: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
 

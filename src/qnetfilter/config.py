@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import amplitude_damping, apply_channel, bit_flip
+from .channels import SIDES, amplitude_damping, apply_channel, bit_flip
 from .core import matrix_from_pairs, validate_density
 from .filtering import NetworkFilterSpec
 from .nlocal import MeasurementSettings, NetworkSpec
@@ -57,8 +57,6 @@ _FAMILY_PARAMS = {
 }
 
 _CHANNEL_TYPES = {"bit_flip": bit_flip, "amplitude_damping": amplitude_damping}
-
-_SIDES = ("both", "left", "right")
 
 
 class ConfigError(ValueError):
@@ -183,8 +181,8 @@ def _apply_channels(cfg: dict, states: list[np.ndarray]) -> list[np.ndarray]:
         if kind not in _CHANNEL_TYPES:
             raise ConfigError(f"channels.{position}.type: unknown channel type {kind!r}")
         sides = entry.get("sides", "both")
-        if sides not in _SIDES:
-            raise ConfigError(f"channels.{position}.sides must be one of {_SIDES}, got {sides!r}")
+        if sides not in SIDES:
+            raise ConfigError(f"channels.{position}.sides must be one of {SIDES}, got {sides!r}")
         try:
             channel = _CHANNEL_TYPES[kind](entry["param"])
             states[link - 1] = apply_channel(states[link - 1], channel, sides=sides)

@@ -12,6 +12,7 @@ correlation tensor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ __all__ = [
     "NotUnitTrace",
     "NotPositive",
     "BlochForm",
-    "kron",
     "validate_density",
     "bloch_decompose",
     "from_bloch",
@@ -51,10 +51,6 @@ POSITIVITY_ATOL = 1e-9
 # decomposition coefficients; anything larger indicates a broken input.
 IMAG_ATOL = 1e-10
 
-# Tensor product; exposed under the conventional name so call sites read
-# kron(a, b) rather than np.kron(a, b).
-kron = np.kron
-
 
 class NotHermitian(ValueError):
     """Matrix is not Hermitian within tolerance."""
@@ -71,13 +67,16 @@ class NotPositive(ValueError):
 def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check that ``rho`` is a 4x4 density matrix and return it as complex.
 
-    Raises NotHermitian / NotUnitTrace / NotPositive with the measured
-    deviation in the message; the checks run in that order.
+    Raises ValueError for non-finite entries, then NotHermitian / NotUnitTrace /
+    NotPositive with the measured deviation in the message, in that order.
     """
     mat = np.asarray(rho, dtype=complex)
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
     herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
+    # Any NaN or inf entry makes herm_dev non-finite; the comparisons below would pass NaN.
+    if not math.isfinite(herm_dev):
+        raise ValueError("matrix entries are not finite")
     if herm_dev > HERMITICITY_ATOL:
         raise NotHermitian(f"hermiticity deviation {herm_dev:.3e} exceeds {HERMITICITY_ATOL:.0e}")
     trace_dev = abs(complex(mat.trace()) - 1.0)
@@ -111,10 +110,10 @@ def bloch_decompose(rho: np.ndarray) -> BlochForm:
     b = np.empty(3)
     w = np.empty((3, 3))
     for i, sig_i in enumerate(PAULIS):
-        a[i] = _real_coeff(complex(np.trace(mat @ kron(sig_i, ID2))))
-        b[i] = _real_coeff(complex(np.trace(mat @ kron(ID2, sig_i))))
+        a[i] = _real_coeff(complex(np.trace(mat @ np.kron(sig_i, ID2))))
+        b[i] = _real_coeff(complex(np.trace(mat @ np.kron(ID2, sig_i))))
         for j, sig_j in enumerate(PAULIS):
-            w[i, j] = _real_coeff(complex(np.trace(mat @ kron(sig_i, sig_j))))
+            w[i, j] = _real_coeff(complex(np.trace(mat @ np.kron(sig_i, sig_j))))
     return BlochForm(a=a, b=b, W=w)
 
 
@@ -128,12 +127,12 @@ def from_bloch(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if a.shape != (3,) or b.shape != (3,) or w.shape != (3, 3):
         raise ValueError("expected a(3,), b(3,), w(3,3)")
-    mat = kron(ID2, ID2).astype(complex)
+    mat = np.kron(ID2, ID2).astype(complex)
     for i, sig_i in enumerate(PAULIS):
-        mat += a[i] * kron(sig_i, ID2)
-        mat += b[i] * kron(ID2, sig_i)
+        mat += a[i] * np.kron(sig_i, ID2)
+        mat += b[i] * np.kron(ID2, sig_i)
         for j, sig_j in enumerate(PAULIS):
-            mat += w[i, j] * kron(sig_i, sig_j)
+            mat += w[i, j] * np.kron(sig_i, sig_j)
     return validate_density(mat / 4.0)
 
 
@@ -211,7 +210,7 @@ def canonical_frame(rho: np.ndarray) -> tuple[np.ndarray, BlochForm]:
     v[:, 2] *= det_v
     rot_a = _CYCLIC @ u.T
     rot_b = _CYCLIC @ v.T
-    local = kron(rotation_to_unitary(rot_a), rotation_to_unitary(rot_b))
+    local = np.kron(rotation_to_unitary(rot_a), rotation_to_unitary(rot_b))
     rotated = local @ validate_density(rho) @ local.conj().T
     return rotated, bloch_decompose(rotated)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import ID2, PAULIS, BlochForm, bloch_decompose, canonical_frame, from_bloch, kron, validate_density
+from .core import ID2, PAULIS, BlochForm, bloch_decompose, canonical_frame, from_bloch, validate_density
 from .filtering import (
     FilterAnnihilatesState,
     LinkFilter,
@@ -49,6 +49,7 @@ __all__ = [
     "evaluate",
     "lhs_at_settings",
     "maximize_lhs",
+    "nelder_mead",
     "born_distribution",
     "born_oracle",
     "conjecture_search",
@@ -92,6 +93,8 @@ def _unit_vector(name: str, vec: np.ndarray) -> np.ndarray:
     arr = np.asarray(vec, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{name} must have shape (3,), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} is not finite, got {arr}")
     norm = float(np.linalg.norm(arr))
     if abs(norm - 1.0) > UNIT_ATOL:
         raise ValueError(f"{name} must be a unit vector, got norm {norm}")
@@ -250,20 +253,31 @@ def maximize_lhs(
         phis = rng.uniform(-np.pi, np.pi, size=4)
         starts.append(np.column_stack([thetas, phis]).reshape(-1))
 
-    best_value = -np.inf
-    best_angles = warm
-    for start in starts:
+    lowest, best_angles = nelder_mead(negative_lhs, starts, None)
+    m0, m1, n0, n1 = _angles_to_vectors(best_angles)
+    return float(-lowest), MeasurementSettings(m0=m0, m1=m1, n0=n0, n1=n1)
+
+
+def nelder_mead(objective, starts, bounds) -> tuple[float, np.ndarray]:
+    """Minimise ``objective`` by Nelder--Mead from every start and keep the best.
+
+    ``bounds`` is a list of (lo, hi) pairs or None.  Returns the lowest value
+    and its argument; the strict comparison keeps the earliest start on ties.
+    """
+    lowest = np.inf
+    best_x = starts[0]
+    for x0 in starts:
         result = minimize(
-            negative_lhs,
-            start,
+            objective,
+            x0,
             method="Nelder-Mead",
+            bounds=bounds,
             options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000, "maxfev": 4000},
         )
-        if -result.fun > best_value:
-            best_value = -result.fun
-            best_angles = result.x
-    m0, m1, n0, n1 = _angles_to_vectors(best_angles)
-    return float(best_value), MeasurementSettings(m0=m0, m1=m1, n0=n0, n1=n1)
+        if result.fun < lowest:
+            lowest = result.fun
+            best_x = result.x
+    return lowest, best_x
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +318,7 @@ def born_distribution(
     filtered, _ = filter_network(list(spec.links), spec.filters)
     joint = filtered[0].state
     for link in filtered[1:]:
-        joint = kron(joint, link.state)
+        joint = np.kron(joint, link.state)
     first = _spin_projectors(settings.m0 if y_first == 0 else settings.m1)
     last = _spin_projectors(settings.n0 if y_last == 0 else settings.n1)
     distribution: dict[tuple[int, ...], float] = {}
@@ -312,9 +326,9 @@ def born_distribution(
         for middles in itertools.product(range(4), repeat=spec.n - 1):
             partial = first[o_first]
             for outcome in middles:
-                partial = kron(partial, _BELL_PROJECTORS[outcome])
+                partial = np.kron(partial, _BELL_PROJECTORS[outcome])
             for o_last in (0, 1):
-                operator = kron(partial, last[o_last])
+                operator = np.kron(partial, last[o_last])
                 prob = float(np.real(np.trace(joint @ operator)))
                 distribution[(o_first, *middles, o_last)] = prob
     return distribution
@@ -437,7 +451,7 @@ def conjecture_search(trials: int, seed: int = 0) -> ConjectureReport:
                 )
                 u_left = _random_local_unitary(rng)
                 u_right = _random_local_unitary(rng)
-                local = kron(u_left, u_right)
+                local = np.kron(u_left, u_right)
                 links.append(local @ aligned @ local.conj().T)
             spec = NetworkSpec(
                 links=tuple(links),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ID2, PAULIS, kron, validate_density
+from .core import ID2, PAULIS, validate_density
 
 __all__ = [
     "grud_state",
@@ -89,4 +89,4 @@ def product_state(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     for i, sigma in enumerate(PAULIS):
         qubit_m += m[i] * sigma
         qubit_n += n[i] * sigma
-    return validate_density(kron(qubit_m / 2.0, qubit_n / 2.0))
+    return validate_density(np.kron(qubit_m / 2.0, qubit_n / 2.0))

@@ -22,7 +22,6 @@ from qnetfilter import (
     KrausChannel,
     amplitude_damping,
     apply_channel,
-    apply_channel_both_qubits,
     bit_flip,
     pure_theta_state,
     validate_density,
@@ -103,7 +102,7 @@ class TestAmplitudeDamping:
                 base = pure_theta_state(theta)
                 expected = (1.0 - gamma) * base + gamma * projector(ket(0))
                 np.testing.assert_allclose(
-                    apply_channel_both_qubits(base, amplitude_damping(gamma)),
+                    apply_channel(base, amplitude_damping(gamma), sides="both"),
                     expected,
                     atol=1e-12,
                 )
@@ -140,11 +139,3 @@ class TestApplyChannel:
     def test_rejects_unknown_sides(self) -> None:
         with pytest.raises(ValueError, match="sides must be one of"):
             apply_channel(np.eye(4) / 4.0, bit_flip(0.1), sides="up")
-
-    def test_shorthand_matches_both(self) -> None:
-        rng = np.random.default_rng(79)
-        rho = random_density(rng)
-        channel = bit_flip(0.2)
-        np.testing.assert_allclose(
-            apply_channel_both_qubits(rho, channel), apply_channel(rho, channel, sides="both")
-        )

@@ -5,11 +5,22 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
-from qnetfilter import apply_channel, b_lin, bit_flip, pure_theta_state
+from qnetfilter import (
+    NetworkFilterSpec,
+    NetworkSpec,
+    apply_channel,
+    b_lin,
+    bit_flip,
+    evaluate,
+    grud_state,
+    matrix_to_pairs,
+    pure_theta_state,
+)
 from qnetfilter.cli import main
 
 
@@ -101,6 +112,29 @@ def test_eval_unreadable_config_is_a_config_error(tmp_path, capsys):
     code, _, err = _run(capsys, "eval", "--config", str(tmp_path / "missing.json"))
     assert code == 2
     assert "config error" in err
+
+
+def _nan_link_config():
+    pairs = matrix_to_pairs(np.eye(4) / 4.0)
+    pairs[0][1][0] = float("nan")
+    return {"links": [{"family": "explicit", "matrix": pairs}, {"family": "werner", "p": 0.5}]}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("eval", _nan_link_config()),
+        ("eval", dict(_example_config(), settings=dict(SETTINGS, m0=[float("nan"), 0, 1]))),
+        ("oracle", dict(_example_config(), settings=dict(SETTINGS, m0=[float("nan"), 0, 1]))),
+    ],
+    ids=["eval-explicit-link", "eval-settings", "oracle-settings"],
+)
+def test_non_finite_input_is_a_config_error(tmp_path, capsys, command, cfg):
+    # json.dumps writes NaN as the token NaN, which Python's json reads back.
+    code, out, err = _run(capsys, command, "--config", _write(tmp_path, cfg))
+    assert code == 2
+    assert "config error" in err and "not finite" in err
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +484,48 @@ def test_reproduce_identity_filter_reduction(capsys):
     code, out, _ = _run(capsys, "reproduce", "theorem1")
     assert code == 0
     assert "result: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        "bilocal-grud-allfilter",
+        "trilocal-grud",
+        "bilocal-werner",
+        "trilocal-werner",
+        "bitflip-threshold",
+        "damping-threshold",
+    ],
+)
+def test_reproduce_runs_to_a_verdict(capsys, scenario):
+    # Checks the report's shape, not whether the quoted reference holds.
+    code, out, err = _run(capsys, "reproduce", scenario)
+    assert out.startswith(f"# reproduce {scenario}\n")
+    assert out.endswith("result: PASS\n") or out.endswith("result: FAIL\n")
+    assert code == (0 if out.endswith("result: PASS\n") else 1)
+    assert err == ""
+
+
+def test_reproduce_allfilter_witness_is_a_hidden_violation(capsys):
+    code, out, _ = _run(capsys, "reproduce", "bilocal-grud-allfilter")
+    match = re.search(
+        r"witness at \(v1, eps2_1, eps2_2\) = \(([^,]+), ([^,]+), ([^)]+)\): "
+        r"b_seq (\S+), success (\S+)\n",
+        out,
+    )
+    assert match, out
+    v1, eps_a, eps_b, printed_b_seq, printed_success = (float(g) for g in match.groups())
+    result = evaluate(
+        NetworkSpec(
+            links=(grud_state(v1, 0.23), grud_state(0.15, 0.34)),
+            filters=NetworkFilterSpec(eps_first=0.95, eps_last=0.76, middle=((eps_a, eps_b),)),
+        )
+    )
+    assert result.b_lin <= 1.0 < result.b_seq
+    assert result.success_prob >= 0.30
+    assert result.b_seq == pytest.approx(printed_b_seq, rel=1e-10)
+    assert result.success_prob == pytest.approx(printed_success, rel=1e-10)
+    assert code == 0
 
 
 def test_reproduce_bilocal_grud(capsys):

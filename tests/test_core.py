@@ -15,7 +15,6 @@ from qnetfilter import (
     canonical_frame,
     correlation_singular_values,
     from_bloch,
-    kron,
     matrix_from_pairs,
     matrix_to_pairs,
     rotation_to_unitary,
@@ -64,6 +63,13 @@ class TestValidateDensity:
     def test_rejects_negative_eigenvalue(self) -> None:
         with pytest.raises(NotPositive, match="minimum eigenvalue"):
             validate_density(np.diag([1.5, -0.5, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, entry) -> None:
+        mat = np.eye(4, dtype=complex) / 4.0
+        mat[0, 1] = entry
+        with pytest.raises(ValueError, match="not finite"):
+            validate_density(mat)
 
     def test_tolerates_tiny_numerical_noise(self) -> None:
         mat = np.eye(4, dtype=complex) / 4.0
@@ -235,7 +241,3 @@ class TestBlochFormShape:
         assert form.b.shape == (3,)
         assert form.W.shape == (3, 3)
         np.testing.assert_allclose(form.W, np.zeros((3, 3)), atol=1e-12)
-
-    def test_kron_is_the_tensor_product(self) -> None:
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(kron(a, np.eye(2)), np.kron(a, np.eye(2)))

@@ -17,7 +17,6 @@ from qnetfilter import (
     filtered_bell_diagonal,
     bloch_decompose,
     from_bloch,
-    kron,
 )
 
 
@@ -75,7 +74,7 @@ class TestApplyLinkFilter:
             rho = random_density(rng)
             eps_l, eps_r = rng.uniform(0.05, 1.0, size=2)
             out = apply_link_filter(rho, LinkFilter(eps_l, eps_r))
-            op = kron(filter_operator(eps_l), filter_operator(eps_r))
+            op = np.kron(filter_operator(eps_l), filter_operator(eps_r))
             raw = op @ rho @ op.conj().T
             success = np.trace(raw).real
             assert out.success_prob == pytest.approx(success, abs=1e-12)
