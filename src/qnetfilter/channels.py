@@ -109,12 +109,11 @@ def apply_channel(rho: np.ndarray, channel: KrausChannel, sides: str = "both") -
     if sides not in SIDES:
         raise ValueError(f"sides must be one of {SIDES}, got {sides!r}")
     mat = np.asarray(rho, dtype=complex)
-    if sides == "left":
-        pairs = [np.kron(op, ID2) for op in channel.ops]
-    elif sides == "right":
-        pairs = [np.kron(ID2, op) for op in channel.ops]
-    else:
-        pairs = [np.kron(op_a, op_b) for op_a in channel.ops for op_b in channel.ops]
+    ops = np.array(channel.ops)
+    left = ops if sides != "right" else ID2[None]
+    right = ops if sides != "left" else ID2[None]
+    # The Kronecker products left_a @ right_b for every pair (a, b), multiplied as np.kron does.
+    pairs = (left[:, None, :, None, :, None] * right[None, :, None, :, None, :]).reshape(-1, 4, 4)
     out = np.zeros((4, 4), dtype=complex)
     for op in pairs:
         out += op @ mat @ op.conj().T

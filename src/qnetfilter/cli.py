@@ -130,12 +130,16 @@ def _scan_rows(cfg: dict) -> tuple[list[str], list[list[str]]]:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    header, rows = _scan_rows(cfg)
     if args.out is None:
         target = contextlib.nullcontext(sys.stdout)
     else:
-        target = open(args.out, "w", newline="", encoding="utf-8")
+        # Opened before the grid is computed, so an unwritable path fails at once.
+        try:
+            target = open(args.out, "w", newline="", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc}") from exc
     with target as handle:
+        header, rows = _scan_rows(cfg)
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -88,10 +88,31 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _real_coeff(value: complex) -> float:
-    if abs(value.imag) > IMAG_ATOL:
-        raise ValueError(f"decomposition coefficient has imaginary part {value.imag:.3e}")
-    return float(value.real)
+def _real_coeffs(values: np.ndarray) -> np.ndarray:
+    offending = np.abs(values.imag) > IMAG_ATOL
+    if offending.any():
+        raise ValueError(f"decomposition coefficient has imaginary part {values.imag[offending][0]:.3e}")
+    return values.real
+
+
+def _pauli_products() -> np.ndarray:
+    products = []
+    for sig_i in PAULIS:
+        products += [np.kron(sig_i, ID2), np.kron(ID2, sig_i)] + [np.kron(sig_i, sig_j) for sig_j in PAULIS]
+    return np.array(products)
+
+
+# sigma_i@I, I@sigma_i, sigma_i@sigma_j for each i: the coefficient order a_i, b_i, W_i0, W_i1, W_i2.
+_PRODUCTS = _pauli_products()
+# Each product has one nonzero entry per column k, +-1 or +-i, in row _ROWS[., k], so
+# trace(mat @ P) is sum_k mat[k, _ROWS[., k]] * _PHASES[., k]; _ENTRIES holds the flat
+# indices 4*k + _ROWS[., k].  Summing along the last axis associates like np.trace, which
+# keeps the result bit-identical to the trace.
+_ROWS = np.argmax(np.abs(_PRODUCTS), axis=1)
+_ENTRIES = 4 * np.arange(4) + _ROWS
+_PHASES = np.take_along_axis(_PRODUCTS, _ROWS[:, None, :], axis=1)[:, 0, :]
+# Identity first, then the products: summing over axis 0 adds them in that order.
+_TERMS = np.concatenate([np.eye(4, dtype=complex)[None], _PRODUCTS])
 
 
 @dataclass(frozen=True)
@@ -106,15 +127,8 @@ class BlochForm:
 def bloch_decompose(rho: np.ndarray) -> BlochForm:
     """Decompose a density matrix into its Bloch vectors and correlation tensor."""
     mat = validate_density(rho)
-    a = np.empty(3)
-    b = np.empty(3)
-    w = np.empty((3, 3))
-    for i, sig_i in enumerate(PAULIS):
-        a[i] = _real_coeff(complex(np.trace(mat @ np.kron(sig_i, ID2))))
-        b[i] = _real_coeff(complex(np.trace(mat @ np.kron(ID2, sig_i))))
-        for j, sig_j in enumerate(PAULIS):
-            w[i, j] = _real_coeff(complex(np.trace(mat @ np.kron(sig_i, sig_j))))
-    return BlochForm(a=a, b=b, W=w)
+    coeffs = _real_coeffs((mat.take(_ENTRIES) * _PHASES).sum(axis=1)).reshape(3, 5)
+    return BlochForm(a=coeffs[:, 0].copy(), b=coeffs[:, 1].copy(), W=coeffs[:, 2:].copy())
 
 
 def from_bloch(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -127,12 +141,8 @@ def from_bloch(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if a.shape != (3,) or b.shape != (3,) or w.shape != (3, 3):
         raise ValueError("expected a(3,), b(3,), w(3,3)")
-    mat = np.kron(ID2, ID2).astype(complex)
-    for i, sig_i in enumerate(PAULIS):
-        mat += a[i] * np.kron(sig_i, ID2)
-        mat += b[i] * np.kron(ID2, sig_i)
-        for j, sig_j in enumerate(PAULIS):
-            mat += w[i, j] * np.kron(sig_i, sig_j)
+    coeffs = np.concatenate([[1.0], np.column_stack([a, b, w]).ravel()])
+    mat = (coeffs[:, None, None] * _TERMS).sum(axis=0)
     return validate_density(mat / 4.0)
 
 
@@ -211,7 +221,7 @@ def canonical_frame(rho: np.ndarray) -> tuple[np.ndarray, BlochForm]:
     rot_a = _CYCLIC @ u.T
     rot_b = _CYCLIC @ v.T
     local = np.kron(rotation_to_unitary(rot_a), rotation_to_unitary(rot_b))
-    rotated = local @ validate_density(rho) @ local.conj().T
+    rotated = local @ np.asarray(rho, dtype=complex) @ local.conj().T
     return rotated, bloch_decompose(rotated)
 
 

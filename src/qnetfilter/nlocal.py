@@ -129,8 +129,7 @@ class EvalResult:
 def _top_two_products(tensors: list[np.ndarray]) -> tuple[float, float]:
     first = 1.0
     second = 1.0
-    for w in tensors:
-        svs = np.linalg.svd(w, compute_uv=False)
+    for svs in np.linalg.svd(np.stack(tensors), compute_uv=False):
         first *= svs[0]
         second *= svs[1]
     return first, second
@@ -389,6 +388,8 @@ class ConjectureReport:
     max_b_seq: float
     max_b_lin: float
     max_closed_form_dev: float
+    rejected: int  # drawn pairs with b_lin > 1
+    annihilated: int  # filter draws that annihilated a link
 
 
 def _random_bell_diagonal(rng: np.random.Generator) -> np.ndarray:
@@ -422,7 +423,7 @@ def conjecture_search(trials: int, seed: int = 0) -> ConjectureReport:
     with b_lin > 1, applies random filters, and evaluates b_seq through the
     full pipeline.  The closed-form filtered correlation entries are checked
     against direct filtering on every trial; the report carries the largest
-    deviation seen.
+    deviation seen and counts the rejected pairs and the annihilating filter draws.
     """
     rng = np.random.default_rng(seed)
     zeros = np.zeros(3)
@@ -430,11 +431,14 @@ def conjecture_search(trials: int, seed: int = 0) -> ConjectureReport:
     max_b_lin = 0.0
     max_dev = 0.0
     done = 0
+    rejected = 0
+    annihilated = 0
     while done < trials:
         w_pair = (_random_bell_diagonal(rng), _random_bell_diagonal(rng))
         svs = [np.sort(np.abs(w))[::-1] for w in w_pair]
         blin = float(np.sqrt(svs[0][0] * svs[1][0] + svs[0][1] * svs[1][1]))
         if blin > 1.0:
+            rejected += 1
             continue
         eps = rng.uniform(size=(2, 2))
         try:
@@ -463,6 +467,7 @@ def conjecture_search(trials: int, seed: int = 0) -> ConjectureReport:
             )
             filtered_bound, _ = b_seq(spec)
         except FilterAnnihilatesState:
+            annihilated += 1
             continue
         max_b_seq = max(max_b_seq, filtered_bound)
         max_b_lin = max(max_b_lin, blin)
@@ -473,4 +478,6 @@ def conjecture_search(trials: int, seed: int = 0) -> ConjectureReport:
         max_b_seq=max_b_seq,
         max_b_lin=max_b_lin,
         max_closed_form_dev=max_dev,
+        rejected=rejected,
+        annihilated=annihilated,
     )

@@ -136,6 +136,22 @@ class TestApplyChannel:
         np.testing.assert_allclose(left, rho, atol=1e-12)  # left qubit already |0>
         assert not np.allclose(right, rho)
 
+    def test_equals_the_kron_pair_loop(self) -> None:
+        ident = np.eye(2, dtype=complex)
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            rho = random_density(rng)
+            for channel in (bit_flip(rng.uniform()), amplitude_damping(rng.uniform())):
+                for sides, pairs in (
+                    ("left", [np.kron(op, ident) for op in channel.ops]),
+                    ("right", [np.kron(ident, op) for op in channel.ops]),
+                    ("both", [np.kron(op_a, op_b) for op_a in channel.ops for op_b in channel.ops]),
+                ):
+                    expected = np.zeros((4, 4), dtype=complex)
+                    for op in pairs:
+                        expected += op @ rho @ op.conj().T
+                    assert np.array_equal(apply_channel(rho, channel, sides=sides), expected), sides
+
     def test_rejects_unknown_sides(self) -> None:
         with pytest.raises(ValueError, match="sides must be one of"):
             apply_channel(np.eye(4) / 4.0, bit_flip(0.1), sides="up")

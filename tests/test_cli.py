@@ -223,6 +223,23 @@ def test_scan_out_file_matches_stdout(tmp_path, capsys):
     assert out_file.read_text(encoding="utf-8") == stdout_text
 
 
+def test_scan_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
+    cfg = _example_config()
+    cfg["scan"] = {"axes": [{"path": "links.0.v", "min": 0.0, "max": 1.0, "steps": 3}]}
+    path = _write(tmp_path, cfg)
+    out_file = tmp_path / "missing" / "rows.csv"
+
+    def no_grid(_cfg):
+        raise AssertionError("the grid was computed before the output was opened")
+
+    monkeypatch.setattr("qnetfilter.cli._scan_rows", no_grid)
+    code, out, err = _run(capsys, "scan", "--config", path, "--out", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: cannot write {out_file}: ")
+    assert "Traceback" not in err
+
+
 def test_scan_rejects_bad_thread_count(tmp_path, capsys, monkeypatch):
     cfg = _example_config()
     cfg["scan"] = {"axes": [{"path": "links.0.v", "min": 0.0, "max": 1.0, "steps": 2}]}

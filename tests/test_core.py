@@ -15,10 +15,14 @@ from qnetfilter import (
     canonical_frame,
     correlation_singular_values,
     from_bloch,
+    grud_state,
     matrix_from_pairs,
     matrix_to_pairs,
+    product_state,
+    pure_theta_state,
     rotation_to_unitary,
     validate_density,
+    werner_state,
 )
 
 SINGLET = np.zeros((4, 4), dtype=complex)
@@ -114,6 +118,64 @@ class TestBlochDecompose:
     def test_from_bloch_rejects_bad_shapes(self) -> None:
         with pytest.raises(ValueError, match="expected a"):
             from_bloch(np.zeros(2), np.zeros(3), np.eye(3))
+
+
+def trace_decompose(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trace definition a_i = tr(rho sigma_i@I), ..., one np.trace per coefficient."""
+    ident = np.eye(2, dtype=complex)
+    a = np.array([np.trace(rho @ np.kron(sig, ident)).real for sig in PAULIS])
+    b = np.array([np.trace(rho @ np.kron(ident, sig)).real for sig in PAULIS])
+    w = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in PAULIS] for si in PAULIS])
+    return a, b, w
+
+
+def summed_from_bloch(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The expansion (1/4)(I@I + a.sigma@I + I@b.sigma + sum W_ij sigma_i@sigma_j), summed term by term."""
+    ident = np.eye(2, dtype=complex)
+    mat = np.kron(ident, ident)
+    for i, sig_i in enumerate(PAULIS):
+        mat += a[i] * np.kron(sig_i, ident)
+        mat += b[i] * np.kron(ident, sig_i)
+        for j, sig_j in enumerate(PAULIS):
+            mat += w[i, j] * np.kron(sig_i, sig_j)
+    return mat / 4.0
+
+
+def kernel_states() -> list[tuple[str, np.ndarray]]:
+    rng = np.random.default_rng(2017)
+    named = [
+        ("product", product_state([0.6, 0.0, 0.8], [0.0, 1.0, 0.0])),
+        ("pure_theta", pure_theta_state(0.62)),
+        ("maximally_mixed", np.eye(4, dtype=complex) / 4.0),
+        ("werner", werner_state(0.7)),
+        ("grud", grud_state(0.1, 0.23)),
+    ]
+    return named + [(f"random_{k}", random_density(rng)) for k in range(50)]
+
+
+class TestKernelBits:
+    """The table kernel reproduces the trace and summation definitions bit for bit."""
+
+    def test_bloch_decompose_equals_the_trace_loop(self) -> None:
+        for name, rho in kernel_states():
+            form = bloch_decompose(rho)
+            a, b, w = trace_decompose(np.asarray(rho, dtype=complex))
+            assert np.array_equal(form.a, a), name
+            assert np.array_equal(form.b, b), name
+            assert np.array_equal(form.W, w), name
+
+    def test_from_bloch_equals_the_summed_expansion(self) -> None:
+        for name, rho in kernel_states():
+            form = bloch_decompose(rho)
+            expected = summed_from_bloch(form.a, form.b, form.W)
+            assert np.array_equal(from_bloch(form.a, form.b, form.W), expected), name
+
+    def test_imaginary_coefficient_is_rejected(self) -> None:
+        mat = np.eye(4, dtype=complex) / 4.0
+        mat[0, 1] = mat[1, 0] = 5e-10j
+        validate_density(mat)
+        with pytest.raises(ValueError, match="imaginary part 1.000e-09"):
+            bloch_decompose(mat)
 
 
 class TestCorrelationSingularValues:

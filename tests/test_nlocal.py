@@ -296,3 +296,13 @@ class TestConjectureSearch:
         assert report.max_b_lin <= 1.0
         assert report.max_b_seq <= 1.0 + 1e-9
         assert report.max_closed_form_dev <= 1e-10
+
+    def test_counts_rejected_and_annihilated_draws(self) -> None:
+        report = conjecture_search(50, seed=2)
+        assert (report.trials, report.seed) == (50, 2)
+        # Counting leaves the sampled stream, and so the maxima, as they were without it.
+        assert report.max_b_seq == pytest.approx(0.9465922964477721, rel=1e-12)
+        assert report.max_b_lin == pytest.approx(0.9351491759200449, rel=1e-12)
+        assert report.rejected >= 0 and report.annihilated >= 0
+        again = conjecture_search(50, seed=2)
+        assert (again.rejected, again.annihilated) == (report.rejected, report.annihilated)
