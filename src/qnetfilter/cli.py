@@ -128,21 +128,32 @@ def _scan_rows(cfg: dict) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def _write_scan(cfg: dict, handle) -> None:
+    header, rows = _scan_rows(cfg)
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.out is None:
-        target = contextlib.nullcontext(sys.stdout)
-    else:
-        # Opened before the grid is computed, so an unwritable path fails at once.
-        try:
-            target = open(args.out, "w", newline="", encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot write {args.out}: {exc}") from exc
-    with target as handle:
-        header, rows = _scan_rows(cfg)
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_scan(cfg, sys.stdout)
+        return 0
+    # The rows go to a temporary file beside the target, which replaces it only after the
+    # last row: a failed grid leaves an existing file as it was.  The temporary file is
+    # opened before the grid is computed, so an unwritable directory fails at once.
+    head, tail = os.path.split(args.out)
+    partial = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", newline="", encoding="utf-8") as handle:
+            _write_scan(cfg, handle)
+        os.replace(partial, args.out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from None
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
     return 0
 
 
@@ -182,10 +193,15 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     free = [token.strip() for token in args.free.split(",") if token.strip()]
     seed = args.seed if args.seed is not None else config_seed(cfg)
+    start = []
     for path in free:
         if not path.startswith("filters."):
             raise ConfigError(f"--free path {path!r} must reference a filter entry")
-        get_path(cfg, path)
+        value = get_path(cfg, path)
+        try:
+            start.append(float(value))
+        except (TypeError, ValueError):
+            raise ConfigError(f"--free path {path!r} must name a number, got {value!r}") from None
 
     if not free:
         result = evaluate(build_network(cfg))
@@ -200,9 +216,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         except FilterAnnihilatesState:
             return 1.0  # score -1.0: annihilating assignments never win
 
-    start = np.array([float(get_path(cfg, path)) for path in free])
     rng = np.random.default_rng(seed)
-    starts = [start] + [rng.uniform(0.0, 1.0, size=len(free)) for _ in range(16)]
+    starts = [np.array(start)] + [rng.uniform(0.0, 1.0, size=len(free)) for _ in range(16)]
     _, best_x = nelder_mead(negative_b_seq, starts, [(0.0, 1.0)] * len(free))
     argmax = dict(zip(free, (float(v) for v in best_x)))
     final = evaluate(build_network(config_with_values(cfg, argmax)))

@@ -88,13 +88,6 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _real_coeffs(values: np.ndarray) -> np.ndarray:
-    offending = np.abs(values.imag) > IMAG_ATOL
-    if offending.any():
-        raise ValueError(f"decomposition coefficient has imaginary part {values.imag[offending][0]:.3e}")
-    return values.real
-
-
 def _pauli_products() -> np.ndarray:
     products = []
     for sig_i in PAULIS:
@@ -124,11 +117,19 @@ class BlochForm:
     W: np.ndarray  # (3,3) correlation tensor W_ij = <sigma_i @ sigma_j>
 
 
-def bloch_decompose(rho: np.ndarray) -> BlochForm:
-    """Decompose a density matrix into its Bloch vectors and correlation tensor."""
-    mat = validate_density(rho)
-    coeffs = _real_coeffs((mat.take(_ENTRIES) * _PHASES).sum(axis=1)).reshape(3, 5)
+def _bloch_form(mat: np.ndarray) -> BlochForm:
+    # Not validated: for complex states validated where they entered, and the package's arithmetic on them.
+    values = (mat.take(_ENTRIES) * _PHASES).sum(axis=1)
+    offending = np.abs(values.imag) > IMAG_ATOL
+    if offending.any():
+        raise ValueError(f"decomposition coefficient has imaginary part {values.imag[offending][0]:.3e}")
+    coeffs = values.real.reshape(3, 5)
     return BlochForm(a=coeffs[:, 0].copy(), b=coeffs[:, 1].copy(), W=coeffs[:, 2:].copy())
+
+
+def bloch_decompose(rho: np.ndarray) -> BlochForm:
+    """Validate a density matrix and decompose it into its Bloch vectors and correlation tensor."""
+    return _bloch_form(validate_density(rho))
 
 
 def from_bloch(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -197,7 +198,7 @@ _CYCLIC = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
 
 
 def canonical_frame(rho: np.ndarray) -> tuple[np.ndarray, BlochForm]:
-    """Rotate a state into the frame with a diagonal correlation tensor.
+    """Rotate a density matrix (validated here) into the frame with a diagonal correlation tensor.
 
     Local unitaries (one per qubit) diagonalise W so that axis 3 carries the
     largest singular value t1, axis 1 the second one t2, and axis 2 the third
@@ -205,8 +206,8 @@ def canonical_frame(rho: np.ndarray) -> tuple[np.ndarray, BlochForm]:
     decomposition.  The frame is deterministic: the SVD gauge is fixed by
     making the first nonzero component of each left singular vector positive.
     """
-    form = bloch_decompose(rho)
-    u, s, vt = np.linalg.svd(form.W)
+    mat = validate_density(rho)
+    u, s, vt = np.linalg.svd(_bloch_form(mat).W)
     v = vt.T.copy()
     u = u.copy()
     for k in range(3):
@@ -221,8 +222,8 @@ def canonical_frame(rho: np.ndarray) -> tuple[np.ndarray, BlochForm]:
     rot_a = _CYCLIC @ u.T
     rot_b = _CYCLIC @ v.T
     local = np.kron(rotation_to_unitary(rot_a), rotation_to_unitary(rot_b))
-    rotated = local @ np.asarray(rho, dtype=complex) @ local.conj().T
-    return rotated, bloch_decompose(rotated)
+    rotated = local @ mat @ local.conj().T
+    return rotated, _bloch_form(rotated)
 
 
 def matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import validate_density
-
 __all__ = [
     "FilterAnnihilatesState",
     "LinkFilter",
@@ -106,9 +104,11 @@ class FilteredLink:
 def apply_link_filter(rho: np.ndarray, link_filter: LinkFilter) -> FilteredLink:
     """Filter one link and post-select on joint success.
 
-    The identity filter is returned unchanged with success probability
-    exactly 1.  Raises FilterAnnihilatesState when the success probability
-    falls at or below 1e-12.
+    ``rho`` must be a density matrix (``NetworkSpec`` validates the links); the
+    output, a renormalised diagonal rescale of it, is not validated again.  The
+    identity filter is returned unchanged with success probability exactly 1.
+    Raises FilterAnnihilatesState when the success probability falls at or
+    below 1e-12.
     """
     if link_filter.is_identity:
         return FilteredLink(state=rho, success_prob=1.0)
@@ -122,7 +122,7 @@ def apply_link_filter(rho: np.ndarray, link_filter: LinkFilter) -> FilteredLink:
         raise FilterAnnihilatesState(
             f"post-selection success probability {success:.3e} is at or below {ANNIHILATION_ATOL:.0e}"
         )
-    return FilteredLink(state=validate_density(scaled / success), success_prob=success)
+    return FilteredLink(state=scaled / success, success_prob=success)
 
 
 def assign_network_filters(n_links: int, spec: NetworkFilterSpec) -> list[LinkFilter]:

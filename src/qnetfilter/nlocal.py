@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import ID2, PAULIS, BlochForm, bloch_decompose, canonical_frame, from_bloch, validate_density
+from .core import ID2, PAULIS, _bloch_form, bloch_decompose, canonical_frame, from_bloch, validate_density
 from .filtering import (
     FilterAnnihilatesState,
     LinkFilter,
@@ -126,35 +126,39 @@ class EvalResult:
     lhs_at_settings: float | None = None
 
 
-def _top_two_products(tensors: list[np.ndarray]) -> tuple[float, float]:
+def _bound(tensors: list[np.ndarray]) -> float:
     first = 1.0
     second = 1.0
     for svs in np.linalg.svd(np.stack(tensors), compute_uv=False):
         first *= svs[0]
         second *= svs[1]
-    return first, second
+    return float(np.sqrt(first + second))
+
+
+def _filtered_tensors(spec: NetworkSpec) -> tuple[list[np.ndarray], float]:
+    filtered, success = filter_network(list(spec.links), spec.filters)
+    return [_bloch_form(link.state).W for link in filtered], success
 
 
 def b_lin(links: tuple[np.ndarray, ...] | list[np.ndarray]) -> float:
-    """Closed-form n-local bound of the unfiltered chain."""
-    tensors = [bloch_decompose(link).W for link in links]
-    first, second = _top_two_products(tensors)
-    return float(np.sqrt(first + second))
+    """Closed-form n-local bound of the unfiltered chain; validates each link."""
+    return _bound([bloch_decompose(link).W for link in links])
 
 
 def b_seq(spec: NetworkSpec) -> tuple[float, float]:
     """Closed-form bound of the filtered chain and its overall success probability."""
-    filtered, success = filter_network(list(spec.links), spec.filters)
-    tensors = [bloch_decompose(link.state).W for link in filtered]
-    first, second = _top_two_products(tensors)
-    return float(np.sqrt(first + second)), success
+    tensors, success = _filtered_tensors(spec)
+    return _bound(tensors), success
 
 
 def evaluate(spec: NetworkSpec, settings: MeasurementSettings | None = None) -> EvalResult:
     """Evaluate both bounds (and optionally the LHS at fixed settings)."""
-    unfiltered = b_lin(list(spec.links))
-    filtered, success = b_seq(spec)
-    lhs = lhs_at_settings(spec, settings) if settings is not None else None
+    unfiltered = _bound([_bloch_form(link).W for link in spec.links])
+    tensors, success = _filtered_tensors(spec)
+    filtered = _bound(tensors)
+    lhs = None
+    if settings is not None:
+        lhs = _lhs_core(tensors, settings.m0, settings.m1, settings.n0, settings.n1)
     return EvalResult(
         b_lin=unfiltered,
         b_seq=filtered,
@@ -194,18 +198,13 @@ def _lhs_core(
     return 0.5 * total
 
 
-def _filtered_tensors(spec: NetworkSpec) -> list[np.ndarray]:
-    filtered, _ = filter_network(list(spec.links), spec.filters)
-    return [bloch_decompose(link.state).W for link in filtered]
-
-
 def lhs_at_settings(spec: NetworkSpec, settings: MeasurementSettings) -> float:
     """sqrt(|I|) + sqrt(|J|) at fixed end-party settings, on the filtered chain.
 
     Works in the lab frame of the supplied states (no canonicalisation), so
     the result matches the Born-rule oracle for the same settings.
     """
-    return _lhs_core(_filtered_tensors(spec), settings.m0, settings.m1, settings.n0, settings.n1)
+    return _lhs_core(_filtered_tensors(spec)[0], settings.m0, settings.m1, settings.n0, settings.n1)
 
 
 def _angles_to_vectors(angles) -> tuple[tuple[float, float, float], ...]:
@@ -447,7 +446,7 @@ def conjecture_search(trials: int, seed: int = 0) -> ConjectureReport:
                 aligned = from_bloch(zeros, zeros, np.diag(w))
                 closed_w, closed_success = filtered_bell_diagonal(w, eps_l, eps_r)
                 direct = apply_link_filter(aligned, LinkFilter(eps_l, eps_r))
-                direct_w = bloch_decompose(direct.state).W
+                direct_w = _bloch_form(direct.state).W
                 max_dev = max(
                     max_dev,
                     float(np.max(np.abs(direct_w - np.diag(closed_w)))),

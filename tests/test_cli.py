@@ -137,6 +137,22 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, command, cfg):
     assert out == ""
 
 
+def test_strong_filter_on_a_barely_valid_link_evaluates(tmp_path, capsys):
+    # The link passes validation with an eigenvalue of -9e-10; the filter scales it up to
+    # about -1.8e-5.  The filtered state is the package's own arithmetic on a validated
+    # link, so it is not validated again.
+    link = np.diag([0.5, 0.25, 0.25 + 9e-10, -9e-10])
+    cfg = {
+        "links": [{"family": "explicit", "matrix": matrix_to_pairs(link)}, {"family": "werner", "p": 0.5}],
+        "filters": {"first": 0.01, "middle": [[0.01, 1.0]]},
+    }
+    code, out, err = _run(capsys, "eval", "--config", _write(tmp_path, cfg))
+    assert code == 0
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    assert all(np.isfinite(payload[key]) for key in ("b_lin", "b_seq", "success_prob"))
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
@@ -238,6 +254,28 @@ def test_scan_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err.startswith(f"config error: cannot write {out_file}: ")
     assert "Traceback" not in err
+
+
+def test_failed_scan_leaves_an_existing_out_file_unchanged(tmp_path, capsys):
+    cfg = {
+        "links": [
+            {"family": "product", "m": [0.0, 0.0, 1.0], "n": [0.0, 0.0, 1.0]},
+            {"family": "werner", "p": 0.5},
+        ],
+        "filters": {"first": 0.0, "middle": [[1.0, 1.0]]},
+        "scan": {"axes": [{"path": "links.1.p", "min": 0.0, "max": 1.0, "steps": 3}]},
+    }
+    path = _write(tmp_path, cfg)
+    out_file = tmp_path / "rows.csv"
+    earlier = b"links.1.p,b_lin,b_seq,success_prob,violation\n0,1,1,1,0\n"
+    out_file.write_bytes(earlier)
+    before = sorted(tmp_path.iterdir())
+
+    code, out, err = _run(capsys, "scan", "--config", path, "--out", str(out_file))
+    assert code == 3
+    assert out == "" and "annihilated" in err
+    assert out_file.read_bytes() == earlier
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_scan_rejects_bad_thread_count(tmp_path, capsys, monkeypatch):
@@ -409,6 +447,21 @@ def test_optimize_rejects_non_filter_paths(tmp_path, capsys):
     )
     assert code == 2
     assert "filter" in err
+
+
+def test_optimize_rejects_a_free_path_that_is_not_a_number(tmp_path, capsys, monkeypatch):
+    def no_search(*_args):
+        raise AssertionError("the optimisation ran before the free paths were checked")
+
+    monkeypatch.setattr("qnetfilter.cli.nelder_mead", no_search)
+    code, out, err = _run(
+        capsys, "optimize", "--config", _write(tmp_path, _example_config()),
+        "--free", "filters.middle.0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: --free path 'filters.middle.0' must name a number")
+    assert "Traceback" not in err
 
 
 def test_optimize_cannot_push_product_link_past_one(tmp_path, capsys):

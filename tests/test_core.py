@@ -42,6 +42,17 @@ def random_density(rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+# diag(1.5, -0.5, 0, 0): Hermitian with unit trace, but not positive.
+NOT_POSITIVE = np.diag([1.5, -0.5, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("entry", [bloch_decompose, canonical_frame, correlation_singular_values])
+def test_public_decompositions_validate_their_input(entry) -> None:
+    # States are validated where they enter the package; these functions take a caller's matrix.
+    with pytest.raises(NotPositive, match="minimum eigenvalue"):
+        entry(NOT_POSITIVE)
+
+
 class TestValidateDensity:
     """Shape, hermiticity, trace and positivity checks."""
 

@@ -11,6 +11,7 @@ from qnetfilter import (
     MeasurementSettings,
     NetworkFilterSpec,
     NetworkSpec,
+    NotPositive,
     b_lin,
     b_seq,
     born_distribution,
@@ -58,7 +59,15 @@ def bell_diagonal(w1: float, w2: float, w3: float) -> np.ndarray:
     return from_bloch(np.zeros(3), np.zeros(3), np.diag([w1, w2, w3]))
 
 
+# diag(1.5, -0.5, 0, 0): Hermitian with unit trace, but not positive.
+NOT_POSITIVE = np.diag([1.5, -0.5, 0.0, 0.0])
+
+
 class TestSpecTypes:
+    def test_network_validates_its_links(self) -> None:
+        with pytest.raises(NotPositive, match="minimum eigenvalue"):
+            NetworkSpec(links=(SINGLET, NOT_POSITIVE))
+
     def test_network_needs_two_links(self) -> None:
         with pytest.raises(ValueError, match="at least 2 links"):
             NetworkSpec(links=(SINGLET,))
@@ -83,6 +92,10 @@ class TestSpecTypes:
 
 
 class TestBLin:
+    def test_validates_its_links(self) -> None:
+        with pytest.raises(NotPositive, match="minimum eigenvalue"):
+            b_lin([SINGLET, NOT_POSITIVE])
+
     def test_singlet_pair_reaches_sqrt_two(self) -> None:
         assert b_lin([SINGLET, SINGLET]) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
