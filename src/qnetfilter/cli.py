@@ -23,6 +23,7 @@ import dataclasses
 import itertools
 import json
 import os
+import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -39,6 +40,7 @@ from .config import (
     load_config,
     scan_axes,
 )
+from .core import NotPositive
 from .filtering import FilterAnnihilatesState, NetworkFilterSpec
 from .nlocal import (
     DimensionTooLarge,
@@ -128,32 +130,25 @@ def _scan_rows(cfg: dict) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def _write_scan(cfg: dict, handle) -> None:
-    header, rows = _scan_rows(cfg)
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.out is None:
-        _write_scan(cfg, sys.stdout)
-        return 0
-    # The rows go to a temporary file beside the target, which replaces it only after the
-    # last row: a failed grid leaves an existing file as it was.  The temporary file is
-    # opened before the grid is computed, so an unwritable directory fails at once.
-    head, tail = os.path.split(args.out)
-    partial = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    try:
-        with open(partial, "w", newline="", encoding="utf-8") as handle:
-            _write_scan(cfg, handle)
-        os.replace(partial, args.out)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {args.out}: {exc.strerror}") from None
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(partial)
+        target = contextlib.nullcontext(sys.stdout)
+    else:
+        # Opened before the grid is computed, so an unwritable path fails at once, and in
+        # append mode, so a grid that fails leaves an existing file as it was.
+        try:
+            target = open(args.out, "a", newline="", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc}") from exc
+    with target as handle:
+        header, rows = _scan_rows(cfg)
+        # Emptied once the rows exist; like mode "w", only a regular file is truncated.
+        if args.out is not None and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate(0)
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     return 0
 
 
@@ -541,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, UnknownExample, DimensionTooLarge) as exc:
+    except (ConfigError, UnknownExample, DimensionTooLarge, NotPositive) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FilterAnnihilatesState as exc:

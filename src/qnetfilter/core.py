@@ -118,7 +118,7 @@ class BlochForm:
 
 
 def _bloch_form(mat: np.ndarray) -> BlochForm:
-    # Not validated: for complex states validated where they entered, and the package's arithmetic on them.
+    # Not validated: callers pass a state validated where it entered, or the package's arithmetic on one.
     values = (mat.take(_ENTRIES) * _PHASES).sum(axis=1)
     offending = np.abs(values.imag) > IMAG_ATOL
     if offending.any():

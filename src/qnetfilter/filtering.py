@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import NotPositive, validate_density
+
 __all__ = [
     "FilterAnnihilatesState",
     "LinkFilter",
@@ -104,11 +106,11 @@ class FilteredLink:
 def apply_link_filter(rho: np.ndarray, link_filter: LinkFilter) -> FilteredLink:
     """Filter one link and post-select on joint success.
 
-    ``rho`` must be a density matrix (``NetworkSpec`` validates the links); the
-    output, a renormalised diagonal rescale of it, is not validated again.  The
-    identity filter is returned unchanged with success probability exactly 1.
-    Raises FilterAnnihilatesState when the success probability falls at or
-    below 1e-12.
+    ``rho`` must be a density matrix (``NetworkSpec`` validates the links).  The
+    identity filter returns it unchanged with success probability exactly 1; any
+    other output is validated, since renormalising scales a rounding-level
+    negative eigenvalue of ``rho`` by up to 1/success.  Raises
+    FilterAnnihilatesState when the success probability falls at or below 1e-12.
     """
     if link_filter.is_identity:
         return FilteredLink(state=rho, success_prob=1.0)
@@ -122,7 +124,7 @@ def apply_link_filter(rho: np.ndarray, link_filter: LinkFilter) -> FilteredLink:
         raise FilterAnnihilatesState(
             f"post-selection success probability {success:.3e} is at or below {ANNIHILATION_ATOL:.0e}"
         )
-    return FilteredLink(state=scaled / success, success_prob=success)
+    return FilteredLink(state=validate_density(scaled / success), success_prob=success)
 
 
 def assign_network_filters(n_links: int, spec: NetworkFilterSpec) -> list[LinkFilter]:
@@ -146,7 +148,7 @@ def filter_network(
     """Filter every link of a chain; returns the links and overall success.
 
     The overall success probability is the product of the per-link traces.
-    Annihilation errors are re-raised with the offending 1-based link index.
+    Annihilation and positivity errors are re-raised with the 1-based link index.
     """
     filters = assign_network_filters(len(states), spec)
     filtered: list[FilteredLink] = []
@@ -156,6 +158,8 @@ def filter_network(
             link = apply_link_filter(rho, link_filter)
         except FilterAnnihilatesState as exc:
             raise FilterAnnihilatesState(f"link {index}: {exc}") from None
+        except NotPositive as exc:
+            raise NotPositive(f"link {index}: filtered state has {exc}") from None
         filtered.append(link)
         overall *= link.success_prob
     return filtered, overall

@@ -137,20 +137,24 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, command, cfg):
     assert out == ""
 
 
-def test_strong_filter_on_a_barely_valid_link_evaluates(tmp_path, capsys):
-    # The link passes validation with an eigenvalue of -9e-10; the filter scales it up to
-    # about -1.8e-5.  The filtered state is the package's own arithmetic on a validated
-    # link, so it is not validated again.
+@pytest.mark.parametrize(
+    "eps, partner",
+    [(0.01, {"family": "werner", "p": 0.5}), (1e-4, {"family": "werner", "p": 1.0})],
+)
+def test_strong_filter_on_a_barely_valid_link_is_a_config_error(tmp_path, capsys, eps, partner):
+    # The link passes validation with an eigenvalue of -9e-10.  Renormalising after the
+    # filter scales it by up to 1/success: to about -1.8e-5 at eps 0.01, and to about -0.22
+    # at eps 1e-4, where the unchecked state would give |W_zz| > 1 and a false violation.
     link = np.diag([0.5, 0.25, 0.25 + 9e-10, -9e-10])
     cfg = {
-        "links": [{"family": "explicit", "matrix": matrix_to_pairs(link)}, {"family": "werner", "p": 0.5}],
-        "filters": {"first": 0.01, "middle": [[0.01, 1.0]]},
+        "links": [{"family": "explicit", "matrix": matrix_to_pairs(link)}, partner],
+        "filters": {"first": eps, "middle": [[eps, 1.0]]},
     }
     code, out, err = _run(capsys, "eval", "--config", _write(tmp_path, cfg))
-    assert code == 0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: link 1: filtered state has minimum eigenvalue")
     assert "Traceback" not in err
-    payload = json.loads(out)
-    assert all(np.isfinite(payload[key]) for key in ("b_lin", "b_seq", "success_prob"))
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +240,19 @@ def test_scan_out_file_matches_stdout(tmp_path, capsys):
     code, silent, _ = _run(capsys, "scan", "--config", path, "--out", str(out_file))
     assert code == 0
     assert silent == ""
+    assert out_file.read_text(encoding="utf-8") == stdout_text
+
+
+def test_scan_out_replaces_a_longer_existing_file(tmp_path, capsys):
+    cfg = _example_config()
+    cfg["scan"] = {"axes": [{"path": "links.0.v", "min": 0.0, "max": 1.0, "steps": 3}]}
+    path = _write(tmp_path, cfg)
+    out_file = tmp_path / "rows.csv"
+    out_file.write_text("x" * 10_000, encoding="utf-8")
+
+    _, stdout_text, _ = _run(capsys, "scan", "--config", path)
+    code, _, _ = _run(capsys, "scan", "--config", path, "--out", str(out_file))
+    assert code == 0
     assert out_file.read_text(encoding="utf-8") == stdout_text
 
 

@@ -91,6 +91,37 @@ class TestSpecTypes:
             )
 
 
+class TestFilteredStates:
+    """Each filtered path sees the same validated filter output."""
+
+    # Valid to -9e-10; the filter scales that eigenvalue to about -0.22.
+    BARELY_VALID = np.diag([0.5, 0.25, 0.25 + 9e-10, -9e-10])
+    STRONG = NetworkFilterSpec(eps_first=1e-4, eps_last=1.0, middle=((1e-4, 1.0),))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            evaluate,
+            lambda spec: b_seq(spec),
+            lambda spec: maximize_lhs(spec, restarts=0),
+            lambda spec: lhs_at_settings(spec, OPTIMAL_SINGLET_SETTINGS),
+            lambda spec: born_oracle(spec, OPTIMAL_SINGLET_SETTINGS),
+        ],
+        ids=["evaluate", "b_seq", "maximize_lhs", "lhs_at_settings", "born_oracle"],
+    )
+    def test_every_path_rejects_an_amplified_negative_eigenvalue(self, entry) -> None:
+        spec = NetworkSpec(links=(self.BARELY_VALID, SINGLET), filters=self.STRONG)
+        with pytest.raises(NotPositive, match="link 1: filtered state has minimum eigenvalue"):
+            entry(spec)
+
+    def test_every_path_accepts_the_exact_state(self) -> None:
+        exact = NetworkSpec(links=(np.diag([0.5, 0.25, 0.25, 0.0]), SINGLET), filters=self.STRONG)
+        bound, _ = b_seq(exact)
+        assert bound <= 1.0
+        assert evaluate(exact).b_seq == bound
+        assert maximize_lhs(exact, restarts=0)[0] == pytest.approx(bound, abs=1e-6)
+
+
 class TestBLin:
     def test_validates_its_links(self) -> None:
         with pytest.raises(NotPositive, match="minimum eigenvalue"):
