@@ -10,8 +10,7 @@ Subcommands::
     qnetfilter reproduce ID                             named reference scenarios
 
 Exit codes: 0 success, 1 reproduction or cross-check failure, 2 config error,
-3 annihilated post-selection, 4 no threshold crossing in range.  The
-``NETFILTER_THREADS`` environment variable caps scan worker threads.
+3 annihilated post-selection, 4 no threshold crossing in range.
 """
 
 from __future__ import annotations
@@ -25,13 +24,14 @@ import json
 import os
 import stat
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 
 import numpy as np
 from scipy.optimize import bisect
 
 from .config import (
     ConfigError,
+    ScanAxis,
     build_network,
     build_settings,
     config_seed,
@@ -40,7 +40,7 @@ from .config import (
     load_config,
     scan_axes,
 )
-from .core import NotPositive
+from .core import NotHermitian, NotPositive
 from .filtering import FilterAnnihilatesState, NetworkFilterSpec
 from .nlocal import (
     DimensionTooLarge,
@@ -71,19 +71,6 @@ class UnknownExample(ValueError):
     """Unknown reproduction id."""
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NETFILTER_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"NETFILTER_THREADS must be a positive integer, got {raw!r}") from None
-    if count < 1:
-        raise ConfigError(f"NETFILTER_THREADS must be a positive integer, got {raw!r}")
-    return count
-
-
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
@@ -108,25 +95,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid(cfg: dict, axes: list[ScanAxis]) -> Iterator[tuple[tuple[float, ...], NetworkSpec]]:
+    """Yield each point of the axes' grid in row-major order, with the network built at it."""
+    paths = [axis.path for axis in axes]
+    for point in itertools.product(*[axis.values for axis in axes]):
+        values = tuple(float(v) for v in point)
+        yield values, build_network(config_with_values(cfg, dict(zip(paths, values))))
+
+
 def _scan_rows(cfg: dict) -> tuple[list[str], list[list[str]]]:
     axes = scan_axes(cfg)
-    paths = [axis.path for axis in axes]
-    points = list(itertools.product(*[axis.values for axis in axes]))
-
-    def eval_point(values: tuple[float, ...]) -> list[str]:
-        point_cfg = config_with_values(cfg, dict(zip(paths, (float(v) for v in values))))
-        result = evaluate(build_network(point_cfg))
-        return [
-            *(_fmt(float(v)) for v in values),
-            _fmt(result.b_lin),
-            _fmt(result.b_seq),
-            _fmt(result.success_prob),
-            "1" if result.violation else "0",
-        ]
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as executor:
-        rows = list(executor.map(eval_point, points))
-    header = [*paths, "b_lin", "b_seq", "success_prob", "violation"]
+    rows = []
+    for values, spec in _grid(cfg, axes):
+        result = evaluate(spec)
+        numbers = (*values, result.b_lin, result.b_seq, result.success_prob)
+        rows.append([*map(_fmt, numbers), "1" if result.violation else "0"])
+    header = [*(axis.path for axis in axes), "b_lin", "b_seq", "success_prob", "violation"]
     return header, rows
 
 
@@ -276,13 +260,10 @@ def _run_point(config: dict, checks: list) -> bool:
 
 def _run_region(label: str, config: dict, min_success: float | None) -> bool:
     """Report the hidden violation (b_lin <= 1 < b_seq) with the largest b_seq on the scan grid."""
-    axes = scan_axes(config)
-    paths = [axis.path for axis in axes]
     best = None
-    for point in itertools.product(*[axis.values for axis in axes]):
-        values = dict(zip(paths, (float(v) for v in point)))
+    for point, spec in _grid(config, scan_axes(config)):
         try:
-            result = evaluate(build_network(config_with_values(config, values)))
+            result = evaluate(spec)
         except FilterAnnihilatesState:
             continue
         hidden = result.b_lin <= 1.0 < result.b_seq
@@ -294,7 +275,7 @@ def _run_region(label: str, config: dict, min_success: float | None) -> bool:
         print(f"region search over {label}: no grid point with b_lin <= 1 and b_seq > 1{floor}")
         return False
     point, result = best
-    coords = ", ".join(_fmt(float(v)) for v in point)
+    coords = ", ".join(map(_fmt, point))
     success = "" if min_success is None else f", success {_fmt(result.success_prob)}"
     print(f"witness at {label} = ({coords}): b_seq {_fmt(result.b_seq)}{success}")
     return True
@@ -536,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, UnknownExample, DimensionTooLarge, NotPositive) as exc:
+    except (ConfigError, UnknownExample, DimensionTooLarge, NotHermitian, NotPositive) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FilterAnnihilatesState as exc:

@@ -48,7 +48,7 @@ HERMITICITY_ATOL = 1e-9
 TRACE_ATOL = 1e-9
 POSITIVITY_ATOL = 1e-9
 # Imaginary parts smaller than this are discarded when extracting real
-# decomposition coefficients; anything larger indicates a broken input.
+# decomposition coefficients; anything larger means the matrix is not Hermitian.
 IMAG_ATOL = 1e-10
 
 
@@ -122,7 +122,7 @@ def _bloch_form(mat: np.ndarray) -> BlochForm:
     values = (mat.take(_ENTRIES) * _PHASES).sum(axis=1)
     offending = np.abs(values.imag) > IMAG_ATOL
     if offending.any():
-        raise ValueError(f"decomposition coefficient has imaginary part {values.imag[offending][0]:.3e}")
+        raise NotHermitian(f"decomposition coefficient has imaginary part {values.imag[offending][0]:.3e}")
     coeffs = values.real.reshape(3, 5)
     return BlochForm(a=coeffs[:, 0].copy(), b=coeffs[:, 1].copy(), W=coeffs[:, 2:].copy())
 

@@ -11,17 +11,20 @@ import numpy as np
 import pytest
 
 from qnetfilter import (
+    FilterAnnihilatesState,
     NetworkFilterSpec,
     NetworkSpec,
     apply_channel,
     b_lin,
     bit_flip,
+    build_network,
     evaluate,
     grud_state,
     matrix_to_pairs,
     pure_theta_state,
 )
-from qnetfilter.cli import main
+from qnetfilter.cli import _run_region, main
+from qnetfilter.config import config_with_values
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -61,8 +64,6 @@ SETTINGS = {"m0": [0, 0, 1], "m1": [1, 0, 0], "n0": [0, 0, 1], "n1": [1, 0, 0]}
 
 
 def test_eval_matches_library(tmp_path, capsys):
-    from qnetfilter import build_network, evaluate
-
     cfg = _example_config()
     code, out, _ = _run(capsys, "eval", "--config", _write(tmp_path, cfg))
     assert code == 0
@@ -154,6 +155,19 @@ def test_strong_filter_on_a_barely_valid_link_is_a_config_error(tmp_path, capsys
     assert code == 2
     assert out == ""
     assert err.startswith("config error: link 1: filtered state has minimum eigenvalue")
+    assert "Traceback" not in err
+
+
+def test_imaginary_decomposition_coefficient_is_a_config_error(tmp_path, capsys):
+    # Within the 1e-9 Hermiticity tolerance of validation, but tr(rho I@sigma_x) has an
+    # imaginary part of 1e-9, above the 1e-10 the decomposition accepts.
+    link = np.eye(4, dtype=complex) / 4.0
+    link[0, 1] = link[1, 0] = 5e-10j
+    cfg = {"links": [{"family": "explicit", "matrix": matrix_to_pairs(link)}, {"family": "werner", "p": 0.5}]}
+    code, out, err = _run(capsys, "eval", "--config", _write(tmp_path, cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and "imaginary part 1.000e-09" in err
     assert "Traceback" not in err
 
 
@@ -293,15 +307,6 @@ def test_failed_scan_leaves_an_existing_out_file_unchanged(tmp_path, capsys):
     assert out == "" and "annihilated" in err
     assert out_file.read_bytes() == earlier
     assert sorted(tmp_path.iterdir()) == before
-
-
-def test_scan_rejects_bad_thread_count(tmp_path, capsys, monkeypatch):
-    cfg = _example_config()
-    cfg["scan"] = {"axes": [{"path": "links.0.v", "min": 0.0, "max": 1.0, "steps": 2}]}
-    monkeypatch.setenv("NETFILTER_THREADS", "many")
-    code, _, err = _run(capsys, "scan", "--config", _write(tmp_path, cfg))
-    assert code == 2
-    assert "NETFILTER_THREADS" in err
 
 
 def test_scan_region_contains_reference_point(tmp_path, capsys):
@@ -613,6 +618,23 @@ def test_reproduce_allfilter_witness_is_a_hidden_violation(capsys):
     assert result.b_seq == pytest.approx(printed_b_seq, rel=1e-10)
     assert result.success_prob == pytest.approx(printed_success, rel=1e-10)
     assert code == 0
+
+
+def test_region_search_skips_annihilated_points(capsys):
+    cfg = {
+        "links": [{"family": "grud", "v": 0.0, "x": 0.23}, {"family": "grud", "v": 0.15, "x": 0.34}],
+        "filters": {"first": 0.95, "last": 0.76, "middle": [[1.0, 1.0]]},
+        "scan": {"axes": [
+            {"path": "links.0.v", "min": 0.0, "max": 1.0, "steps": 11},
+            {"path": "filters.first", "min": 0.0, "max": 1.0, "steps": 3},
+            {"path": "filters.middle.0.0", "min": 0.1, "max": 1.0, "steps": 10},
+        ]},
+    }
+    # The grid holds points the first filter annihilates, at v1 = 1 and eps_first = 0.
+    with pytest.raises(FilterAnnihilatesState):
+        evaluate(build_network(config_with_values(cfg, {"links.0.v": 1.0, "filters.first": 0.0})))
+    assert _run_region("t", cfg, None) is True
+    assert capsys.readouterr().out == "witness at t = (0, 0.5, 0.1): b_seq 1.1700827206\n"
 
 
 def test_reproduce_bilocal_grud(capsys):

@@ -24,6 +24,7 @@ from qnetfilter import (
     lhs_at_settings,
     maximize_lhs,
     product_state,
+    pure_theta_state,
     werner_state,
     x_state,
 )
@@ -58,6 +59,9 @@ def random_settings(rng: np.random.Generator) -> MeasurementSettings:
 def bell_diagonal(w1: float, w2: float, w3: float) -> np.ndarray:
     return from_bloch(np.zeros(3), np.zeros(3), np.diag([w1, w2, w3]))
 
+
+# Six Werner links with the maximally mixed state I/4 as the second: W = 0 on that link.
+MIXED_IN_SIX = (werner_state(0.9), np.eye(4) / 4.0, *[werner_state(0.9)] * 4)
 
 # diag(1.5, -0.5, 0, 0): Hermitian with unit trace, but not positive.
 NOT_POSITIVE = np.diag([1.5, -0.5, 0.0, 0.0])
@@ -129,6 +133,18 @@ class TestBLin:
 
     def test_singlet_pair_reaches_sqrt_two(self) -> None:
         assert b_lin([SINGLET, SINGLET]) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "links, expected, tol",
+        [
+            # Rank 1: each link has singular values (1, sin 1.24, sin 1.24).
+            ([pure_theta_state(0.62)] * 6, np.sqrt(1.0 + np.sin(1.24) ** 6), 1e-12),
+            (list(MIXED_IN_SIX), 0.0, 0.0),
+        ],
+        ids=["six-rank-one-links", "maximally-mixed-link-in-six"],
+    )
+    def test_six_link_chains_at_the_rank_extremes(self, links, expected, tol) -> None:
+        assert b_lin(links) == pytest.approx(expected, abs=tol)
 
     def test_product_partner_caps_the_bound_at_one(self) -> None:
         e3 = np.array([0.0, 0.0, 1.0])
@@ -215,6 +231,20 @@ class TestBSeq:
             bound, success = b_seq(spec)
             assert bound == pytest.approx(expected, abs=1e-10)
             assert success == pytest.approx(first_success * second_success, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "filters",
+        [
+            NetworkFilterSpec(eps_first=0.3, eps_last=0.7, middle=((0.5, 0.9),) * 5),
+            NetworkFilterSpec(middle=((1.0, 0.2), (0.3, 1.0), (0.6, 0.6), (1.0, 1.0), (0.4, 0.8))),
+            NetworkFilterSpec(eps_first=0.05, eps_last=0.05, middle=((0.05, 0.05),) * 5),
+        ],
+        ids=["uniform", "mixed-strengths", "strong"],
+    )
+    def test_maximally_mixed_link_keeps_the_filtered_bound_at_most_one(self, filters) -> None:
+        # A filter leaves I/4 a product state, whose tensor has rank 1.
+        bound, _ = b_seq(NetworkSpec(links=MIXED_IN_SIX, filters=filters))
+        assert bound <= 1.0
 
     def test_evaluate_sets_the_violation_flag(self) -> None:
         links = (x_state(0.2, 0.1, 0.7, 0.15), x_state(0.86, 0.0, 0.14, 0.33))
