@@ -85,49 +85,54 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _key(node: object, part: str, path: str) -> str | int:
+    """The dict key or list index that one dotted-path ``part`` names in ``node``."""
+    if isinstance(node, dict):
+        if part not in node:
+            raise ConfigError(f"no such config path: {path} (missing {part!r})")
+        return part
+    if isinstance(node, list):
+        try:
+            index = int(part)
+        except ValueError:
+            raise ConfigError(f"no such config path: {path} ({part!r} is not an index)") from None
+        if not 0 <= index < len(node):
+            raise ConfigError(f"no such config path: {path} (index {index} out of range)")
+        return index
+    raise ConfigError(f"no such config path: {path} (cannot descend into {part!r})")
+
+
 def get_path(cfg: dict, path: str) -> object:
     """Resolve a dotted path like ``links.0.v`` inside a config dict."""
     node: object = cfg
     for part in path.split("."):
-        if isinstance(node, dict):
-            if part not in node:
-                raise ConfigError(f"no such config path: {path} (missing {part!r})")
-            node = node[part]
-        elif isinstance(node, list):
-            try:
-                index = int(part)
-            except ValueError:
-                raise ConfigError(f"no such config path: {path} ({part!r} is not an index)") from None
-            if not 0 <= index < len(node):
-                raise ConfigError(f"no such config path: {path} (index {index} out of range)")
-            node = node[index]
-        else:
-            raise ConfigError(f"no such config path: {path} (cannot descend into {part!r})")
+        node = node[_key(node, part, path)]
     return node
 
 
 def set_path(cfg: dict, path: str, value: object) -> None:
     """Assign to a dotted path; the path must already exist."""
-    parts = path.split(".")
-    if len(parts) == 1:
-        parent: object = cfg
-    else:
-        parent = get_path(cfg, ".".join(parts[:-1]))
-    leaf = parts[-1]
-    if isinstance(parent, dict):
-        if leaf not in parent:
-            raise ConfigError(f"no such config path: {path} (missing {leaf!r})")
-        parent[leaf] = value
-    elif isinstance(parent, list):
-        try:
-            index = int(leaf)
-        except ValueError:
-            raise ConfigError(f"no such config path: {path} ({leaf!r} is not an index)") from None
-        if not 0 <= index < len(parent):
-            raise ConfigError(f"no such config path: {path} (index {index} out of range)")
-        parent[index] = value
-    else:
-        raise ConfigError(f"no such config path: {path} (cannot assign into {leaf!r})")
+    head, dot, leaf = path.rpartition(".")
+    parent = get_path(cfg, head) if dot else cfg
+    parent[_key(parent, leaf, path)] = value
+
+
+def _fields(entry: object, where: str, allowed: tuple[str, ...], required: tuple[str, ...] = ()) -> dict:
+    """Check that ``entry`` is an object with only ``allowed`` fields and all ``required`` ones."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be an object")
+    for key in entry:
+        if key not in allowed:
+            raise ConfigError(f"{where}.{key}: unknown field")
+    for key in required:
+        if key not in entry:
+            raise ConfigError(f"{where}.{key} is required")
+    return entry
+
+
+def _is_json_number(value: object, kinds: type | tuple[type, ...]) -> bool:
+    """``isinstance`` for JSON numbers: ``true`` and ``false`` are neither integers nor numbers."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def _build_link(index: int, entry: object) -> np.ndarray:
@@ -166,16 +171,9 @@ def _apply_channels(cfg: dict, states: list[np.ndarray]) -> list[np.ndarray]:
     if not isinstance(channels, list):
         raise ConfigError("channels must be an array")
     for position, entry in enumerate(channels):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"channels.{position} must be an object")
-        for key in entry:
-            if key not in ("link", "type", "param", "sides"):
-                raise ConfigError(f"channels.{position}.{key}: unknown field")
-        for required in ("link", "type", "param"):
-            if required not in entry:
-                raise ConfigError(f"channels.{position}.{required} is required")
+        _fields(entry, f"channels.{position}", ("link", "type", "param", "sides"), ("link", "type", "param"))
         link = entry["link"]
-        if not isinstance(link, int) or not 1 <= link <= len(states):
+        if not _is_json_number(link, int) or not 1 <= link <= len(states):
             raise ConfigError(f"channels.{position}.link must be a 1-based link index, got {link!r}")
         kind = entry["type"]
         if kind not in _CHANNEL_TYPES:
@@ -202,12 +200,7 @@ def build_states(cfg: dict) -> list[np.ndarray]:
 
 def build_filter_spec(cfg: dict, n_links: int) -> NetworkFilterSpec:
     """Build the per-party filter assignment; missing entries default to 1."""
-    block = cfg.get("filters", {})
-    if not isinstance(block, dict):
-        raise ConfigError("filters must be an object")
-    for key in block:
-        if key not in ("first", "last", "middle"):
-            raise ConfigError(f"filters.{key}: unknown field")
+    block = _fields(cfg.get("filters", {}), "filters", ("first", "last", "middle"))
     middle = block.get("middle", [[1.0, 1.0]] * (n_links - 1))
     if not isinstance(middle, list) or any(
         not isinstance(pair, (list, tuple)) or len(pair) != 2 for pair in middle
@@ -241,19 +234,11 @@ def build_settings(cfg: dict) -> MeasurementSettings | None:
     block = cfg.get("settings")
     if block is None:
         return None
-    if not isinstance(block, dict):
-        raise ConfigError("settings must be an object")
-    vectors = {}
-    for name in ("m0", "m1", "n0", "n1"):
-        if name not in block:
-            raise ConfigError(f"settings.{name} is required")
-        vectors[name] = np.asarray(block[name], dtype=float)
-    for key in block:
-        if key not in ("m0", "m1", "n0", "n1"):
-            raise ConfigError(f"settings.{key}: unknown field")
+    names = ("m0", "m1", "n0", "n1")
+    _fields(block, "settings", names, names)
     try:
-        return MeasurementSettings(**vectors)
-    except ValueError as exc:
+        return MeasurementSettings(**{name: np.asarray(block[name], dtype=float) for name in names})
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"settings: {exc}") from None
 
 
@@ -270,29 +255,23 @@ def scan_axes(cfg: dict) -> list[ScanAxis]:
     block = cfg.get("scan")
     if block is None:
         raise ConfigError("scan block is missing")
-    if not isinstance(block, dict) or "axes" not in block:
-        raise ConfigError("scan.axes is required")
-    for key in block:
-        if key != "axes":
-            raise ConfigError(f"scan.{key}: unknown field")
-    axes = block["axes"]
+    axes = _fields(block, "scan", ("axes",), ("axes",))["axes"]
     if not isinstance(axes, list) or not 1 <= len(axes) <= 3:
         raise ConfigError("scan.axes must hold between 1 and 3 axes")
     parsed = []
     for index, axis in enumerate(axes):
-        if not isinstance(axis, dict):
-            raise ConfigError(f"scan.axes.{index} must be an object")
-        for key in axis:
-            if key not in ("path", "min", "max", "steps"):
-                raise ConfigError(f"scan.axes.{index}.{key}: unknown field")
-        for required in ("path", "min", "max"):
-            if required not in axis:
-                raise ConfigError(f"scan.axes.{index}.{required} is required")
+        where = f"scan.axes.{index}"
+        _fields(axis, where, ("path", "min", "max", "steps"), ("path", "min", "max"))
         steps = axis.get("steps", 101)
-        if not isinstance(steps, int) or steps < 1:
-            raise ConfigError(f"scan.axes.{index}.steps must be a positive integer, got {steps!r}")
+        if not _is_json_number(steps, int) or steps < 1:
+            raise ConfigError(f"{where}.steps must be a positive integer, got {steps!r}")
         path = axis["path"]
+        if not isinstance(path, str):
+            raise ConfigError(f"{where}.path must be a string, got {path!r}")
         get_path(cfg, path)  # must resolve against the base config
+        for bound in ("min", "max"):
+            if not _is_json_number(axis[bound], (int, float)):
+                raise ConfigError(f"{where}.{bound} must be a number, got {axis[bound]!r}")
         parsed.append(
             ScanAxis(path=path, values=np.linspace(float(axis["min"]), float(axis["max"]), steps))
         )
@@ -301,14 +280,23 @@ def scan_axes(cfg: dict) -> list[ScanAxis]:
 
 def config_seed(cfg: dict) -> int:
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_json_number(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     return seed
 
 
 def config_with_values(cfg: dict, assignments: dict[str, float]) -> dict:
-    """Deep-copy the config and apply dotted-path assignments."""
-    copied = copy.deepcopy(cfg)
+    """Apply dotted-path assignments to a copy of the config, leaving ``cfg`` unchanged.
+
+    Only the containers on each assigned path are copied; all else is shared with ``cfg``.
+    """
+    copied = dict(cfg)
     for path, value in assignments.items():
-        set_path(copied, path, value)
+        head, dot, leaf = path.rpartition(".")
+        parent: object = copied
+        for part in head.split(".") if dot else ():
+            key = _key(parent, part, head)
+            parent[key] = copy.copy(parent[key])
+            parent = parent[key]
+        parent[_key(parent, leaf, path)] = value
     return copied

@@ -138,6 +138,57 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, command, cfg):
     assert out == ""
 
 
+def _one_axis_config(**axis):
+    cfg = _example_config()
+    cfg["scan"] = {"axes": [dict({"path": "links.0.v", "min": 0.0, "max": 1.0, "steps": 3}, **axis)]}
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        ("scan", _one_axis_config(min="abc"), "scan.axes.0.min must be a number, got 'abc'"),
+        ("threshold", _one_axis_config(min="abc"), "scan.axes.0.min must be a number, got 'abc'"),
+        ("scan", _one_axis_config(max=None), "scan.axes.0.max must be a number, got None"),
+        ("threshold", _one_axis_config(min=None), "scan.axes.0.min must be a number, got None"),
+        ("scan", _one_axis_config(path=5), "scan.axes.0.path must be a string, got 5"),
+        ("threshold", _one_axis_config(path=5), "scan.axes.0.path must be a string, got 5"),
+        ("scan", _one_axis_config(steps=True), "scan.axes.0.steps must be a positive integer, got True"),
+        ("scan", dict(_example_config(), scan=5), "scan must be an object"),
+        (
+            "eval",
+            dict(_example_config(), settings=dict(SETTINGS, m0="abc")),
+            "settings: could not convert string to float: 'abc'",
+        ),
+        (
+            "oracle",
+            dict(_example_config(), settings=dict(SETTINGS, m0=[[0, 0], [1]])),
+            "settings: setting an array element with a sequence.",
+        ),
+        (
+            "eval",
+            dict(_example_config(), channels=[{"link": True, "type": "bit_flip", "param": 0.1}]),
+            "channels.0.link must be a 1-based link index, got True",
+        ),
+        ("oracle", dict(_example_config(), seed=True), "seed must be an integer, got True"),
+    ],
+    ids=[
+        "scan-min-string", "threshold-min-string", "scan-max-null", "threshold-min-null",
+        "scan-path-int", "threshold-path-int", "scan-steps-true", "scan-not-object",
+        "eval-settings-string", "oracle-settings-ragged", "eval-link-true", "oracle-seed-true",
+    ],
+)
+def test_malformed_field_is_a_config_error(tmp_path, capsys, command, cfg, message):
+    argv = [command, "--config", _write(tmp_path, cfg)]
+    if command == "threshold":
+        argv += ["--axis", "links.0.v", "--target", "b_lin"]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: {message}")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "eps, partner",
     [(0.01, {"family": "werner", "p": 0.5}), (1e-4, {"family": "werner", "p": 1.0})],

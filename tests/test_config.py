@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -118,12 +119,37 @@ class TestDottedPaths:
             get_path(base_config(), "links.0.v.deeper")
 
     def test_config_with_values_copies(self) -> None:
-        cfg = base_config()
+        cfg = dict(base_config(), seed=3)
         frozen = copy.deepcopy(cfg)
-        updated = config_with_values(cfg, {"links.0.v": 0.7, "filters.middle.0.0": 0.5})
+        updated = config_with_values(
+            cfg,
+            {"links.0.v": 0.7, "filters.middle.0.0": 0.5, "filters.middle.0.1": 0.25, "seed": 9},
+        )
         assert cfg == frozen
         assert get_path(updated, "links.0.v") == 0.7
-        assert get_path(updated, "filters.middle.0.0") == 0.5
+        assert updated["filters"]["middle"] == [[0.5, 0.25]]
+        assert updated["seed"] == 9
+        # What is off the assigned paths is shared; what is on them belongs to the result.
+        assert updated["links"][1] is cfg["links"][1]
+        updated["links"][0]["x"] = 0.0
+        updated["links"].append({"family": "werner", "p": 0.5})
+        updated["filters"]["middle"][0].append(1.0)
+        assert cfg == frozen
+        # A bad path fails the same way whichever function walks it.
+        for path, kind in [
+            ("links.0.w", "missing 'w'"),
+            ("links.first.v", "'first' is not an index"),
+            ("links.5.v", "index 5 out of range"),
+            ("links.0.v.deeper", "cannot descend into 'deeper'"),
+        ]:
+            for walk in (
+                lambda: get_path(cfg, path),
+                lambda: set_path(cfg, path, 1.0),
+                lambda: config_with_values(cfg, {path: 1.0}),
+            ):
+                with pytest.raises(ConfigError, match=re.escape(kind)):
+                    walk()
+        assert cfg == frozen
 
 
 class TestBuildStates:

@@ -1,0 +1,33 @@
+"""Run the demo scripts end to end; they call the public API the way a user would."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# demos/05_conjecture_search.py is left out: its 16,000 conjecture trials take
+# about 19 s on a 2-vCPU host, three times the other four demos together.
+DEMOS = [
+    "01_bloch_and_canonical_frame.py",
+    "02_local_filtering.py",
+    "03_network_bounds.py",
+    "04_noise_thresholds.py",
+]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
