@@ -11,7 +11,6 @@ get amplified relative to the dominant one.
 import numpy as np
 
 from qnetfilter import (
-    LinkFilter,
     apply_link_filter,
     correlation_singular_values,
     filtered_bell_diagonal,
@@ -22,11 +21,11 @@ rho = grud_state(0.1, 0.23)
 print("raw singular values:     ", correlation_singular_values(rho))
 
 for eps in (1.0, 0.8, 0.5, 0.3):
-    filtered = apply_link_filter(rho, LinkFilter(eps, eps))
-    svs = correlation_singular_values(filtered.state)
+    filtered, success = apply_link_filter(rho, eps, eps)
+    svs = correlation_singular_values(filtered)
     print(
         f"eps = {eps:4.2f}:  svs = [{svs[0]:.4f} {svs[1]:.4f} {svs[2]:.4f}]"
-        f"   success = {filtered.success_prob:.4f}"
+        f"   success = {success:.4f}"
     )
 
 # For states with null Bloch vectors there is a closed-form filter update.
@@ -43,6 +42,6 @@ paulis = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 rho_bell = 0.25 * (np.eye(4) + sum(w[i] * np.kron(paulis[i], paulis[i]) for i in range(3)))
-generic = apply_link_filter(rho_bell, LinkFilter(0.6, 0.85))
-diag = [np.real(np.trace(generic.state @ np.kron(paulis[i], paulis[i]))) for i in range(3)]
-print("generic conjugation: w'' =", np.round(diag, 12), "  success =", round(generic.success_prob, 6))
+generic, generic_success = apply_link_filter(rho_bell, 0.6, 0.85)
+diag = [np.real(np.trace(generic @ np.kron(paulis[i], paulis[i]))) for i in range(3)]
+print("generic conjugation: w'' =", np.round(diag, 12), "  success =", round(generic_success, 6))

@@ -32,6 +32,7 @@ from scipy.optimize import bisect
 from .config import (
     ConfigError,
     ScanAxis,
+    _number,
     build_network,
     build_settings,
     config_seed,
@@ -141,7 +142,7 @@ def _threshold(cfg: dict, path: str, lo: float, hi: float, target: str) -> float
 
     def objective(value: float) -> float:
         spec = build_network(config_with_values(cfg, {path: float(value)}))
-        bound = b_lin(list(spec.links)) if target == "b_lin" else b_seq(spec)[0]
+        bound = b_lin(spec.links) if target == "b_lin" else b_seq(spec)[0]
         return bound - 1.0
 
     f_lo, f_hi = objective(lo), objective(hi)
@@ -178,8 +179,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             raise ConfigError(f"--free path {path!r} must reference a filter entry")
         value = get_path(cfg, path)
         try:
-            start.append(float(value))
-        except (TypeError, ValueError):
+            start.append(float(_number(value, path)))
+        except ConfigError:
             raise ConfigError(f"--free path {path!r} must name a number, got {value!r}") from None
 
     if not free:

@@ -135,6 +135,26 @@ def _is_json_number(value: object, kinds: type | tuple[type, ...]) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _number(value: object, where: str) -> float | int:
+    """Return ``value`` if it is a JSON number that ``float()`` converts; else a config error naming ``where``."""
+    if not _is_json_number(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is too large for a float") from None
+    return value
+
+
+def _check_numbers(vector: object, where: str) -> None:
+    """Check each entry of a (nested) JSON array with ``_number``; shapes and non-arrays are checked downstream."""
+    for k, item in enumerate(vector if isinstance(vector, list) else ()):
+        if isinstance(item, list):
+            _check_numbers(item, f"{where}.{k}")
+        else:
+            _number(item, f"{where}.{k}")
+
+
 def _build_link(index: int, entry: object) -> np.ndarray:
     if not isinstance(entry, dict):
         raise ConfigError(f"links.{index} must be an object")
@@ -150,6 +170,10 @@ def _build_link(index: int, entry: object) -> np.ndarray:
     missing = [key for key in params if key not in entry]
     if missing:
         raise ConfigError(f"links.{index}.{missing[0]} is required for family {family!r}")
+    if family != "explicit":
+        check = _check_numbers if family == "product" else _number
+        for key in params:
+            check(entry[key], f"links.{index}.{key}")
     try:
         if family == "grud":
             return grud_state(entry["v"], entry["x"])
@@ -181,8 +205,9 @@ def _apply_channels(cfg: dict, states: list[np.ndarray]) -> list[np.ndarray]:
         sides = entry.get("sides", "both")
         if sides not in SIDES:
             raise ConfigError(f"channels.{position}.sides must be one of {SIDES}, got {sides!r}")
+        param = _number(entry["param"], f"channels.{position}.param")
         try:
-            channel = _CHANNEL_TYPES[kind](entry["param"])
+            channel = _CHANNEL_TYPES[kind](param)
             states[link - 1] = apply_channel(states[link - 1], channel, sides=sides)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"channels.{position}: {exc}") from None
@@ -210,12 +235,14 @@ def build_filter_spec(cfg: dict, n_links: int) -> NetworkFilterSpec:
         raise ConfigError(
             f"filters.middle must have {n_links - 1} pairs for {n_links} links, got {len(middle)}"
         )
+    first = float(_number(block.get("first", 1.0), "filters.first"))
+    last = float(_number(block.get("last", 1.0), "filters.last"))
+    pairs = tuple(
+        (float(_number(pair[0], f"filters.middle.{i}.0")), float(_number(pair[1], f"filters.middle.{i}.1")))
+        for i, pair in enumerate(middle)
+    )
     try:
-        return NetworkFilterSpec(
-            eps_first=float(block.get("first", 1.0)),
-            eps_last=float(block.get("last", 1.0)),
-            middle=tuple((float(pair[0]), float(pair[1])) for pair in middle),
-        )
+        return NetworkFilterSpec(eps_first=first, eps_last=last, middle=pairs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"filters: {exc}") from None
 
@@ -236,6 +263,8 @@ def build_settings(cfg: dict) -> MeasurementSettings | None:
         return None
     names = ("m0", "m1", "n0", "n1")
     _fields(block, "settings", names, names)
+    for name in names:
+        _check_numbers(block[name], f"settings.{name}")
     try:
         return MeasurementSettings(**{name: np.asarray(block[name], dtype=float) for name in names})
     except (ValueError, TypeError) as exc:
@@ -269,12 +298,8 @@ def scan_axes(cfg: dict) -> list[ScanAxis]:
         if not isinstance(path, str):
             raise ConfigError(f"{where}.path must be a string, got {path!r}")
         get_path(cfg, path)  # must resolve against the base config
-        for bound in ("min", "max"):
-            if not _is_json_number(axis[bound], (int, float)):
-                raise ConfigError(f"{where}.{bound} must be a number, got {axis[bound]!r}")
-        parsed.append(
-            ScanAxis(path=path, values=np.linspace(float(axis["min"]), float(axis["max"]), steps))
-        )
+        low, high = (float(_number(axis[bound], f"{where}.{bound}")) for bound in ("min", "max"))
+        parsed.append(ScanAxis(path=path, values=np.linspace(low, high, steps)))
     return parsed
 
 

@@ -112,19 +112,21 @@ _TERMS = np.concatenate([np.eye(4, dtype=complex)[None], _PRODUCTS])
 class BlochForm:
     """Bloch decomposition of a two-qubit state: local vectors and correlations."""
 
-    a: np.ndarray  # (3,) Bloch vector of the first qubit
-    b: np.ndarray  # (3,) Bloch vector of the second qubit
-    W: np.ndarray  # (3,3) correlation tensor W_ij = <sigma_i @ sigma_j>
+    a: np.ndarray  # (..., 3) Bloch vector of the first qubit
+    b: np.ndarray  # (..., 3) Bloch vector of the second qubit
+    W: np.ndarray  # (..., 3, 3) correlation tensor W_ij = <sigma_i @ sigma_j>
 
 
 def _bloch_form(mat: np.ndarray) -> BlochForm:
+    """Decompose a ``(..., 4, 4)`` state or stack of states, one form with leading axes."""
     # Not validated: callers pass a state validated where it entered, or the package's arithmetic on one.
-    values = (mat.take(_ENTRIES) * _PHASES).sum(axis=1)
+    # take(axis=-1) keeps the terms contiguous and each sum bit-identical to one matrix's; [..., _ENTRIES] does not.
+    values = (mat.reshape(*mat.shape[:-2], 16).take(_ENTRIES, axis=-1) * _PHASES).sum(axis=-1)
     offending = np.abs(values.imag) > IMAG_ATOL
     if offending.any():
         raise NotHermitian(f"decomposition coefficient has imaginary part {values.imag[offending][0]:.3e}")
-    coeffs = values.real.reshape(3, 5)
-    return BlochForm(a=coeffs[:, 0].copy(), b=coeffs[:, 1].copy(), W=coeffs[:, 2:].copy())
+    coeffs = values.real.reshape(*mat.shape[:-2], 3, 5)
+    return BlochForm(a=coeffs[..., 0].copy(), b=coeffs[..., 1].copy(), W=coeffs[..., 2:].copy())
 
 
 def bloch_decompose(rho: np.ndarray) -> BlochForm:

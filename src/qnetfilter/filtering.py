@@ -9,11 +9,12 @@ where the trace is the post-selection success probability of that link.  For
 an n-link chain the first and last party hold one qubit each while every
 intermediate party holds two qubits belonging to adjacent links, so a network
 filter assignment is (eps_first, eps_last) plus one (eps1, eps2) pair per
-intermediate party.
+intermediate party, and link j is filtered with a left and a right strength.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +23,8 @@ from .core import NotPositive, validate_density
 
 __all__ = [
     "FilterAnnihilatesState",
-    "LinkFilter",
     "NetworkFilterSpec",
-    "FilteredLink",
-    "filter_operator",
     "apply_link_filter",
-    "assign_network_filters",
     "filter_network",
     "filtered_bell_diagonal",
 ]
@@ -45,27 +42,6 @@ def _check_eps(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return value
-
-
-def filter_operator(eps: float) -> np.ndarray:
-    """Single-qubit filter diag(eps, 1); eps = 1 is the identity."""
-    return np.diag([complex(_check_eps("eps", eps)), 1.0 + 0.0j])
-
-
-@dataclass(frozen=True)
-class LinkFilter:
-    """Filter strengths applied to the left and right qubit of one link."""
-
-    epsL: float
-    epsR: float
-
-    def __post_init__(self) -> None:
-        _check_eps("epsL", self.epsL)
-        _check_eps("epsR", self.epsR)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.epsL == 1.0 and self.epsR == 1.0
 
 
 @dataclass(frozen=True)
@@ -95,16 +71,8 @@ class NetworkFilterSpec:
         return cls(middle=((1.0, 1.0),) * (n_links - 1))
 
 
-@dataclass(frozen=True)
-class FilteredLink:
-    """Normalised post-filter state together with its success probability."""
-
-    state: np.ndarray
-    success_prob: float
-
-
-def apply_link_filter(rho: np.ndarray, link_filter: LinkFilter) -> FilteredLink:
-    """Filter one link and post-select on joint success.
+def apply_link_filter(rho: np.ndarray, eps_left: float, eps_right: float) -> tuple[np.ndarray, float]:
+    """Filter one link and post-select on joint success; returns the state and its success probability.
 
     ``rho`` must be a density matrix (``NetworkSpec`` validates the links).  The
     identity filter returns it unchanged with success probability exactly 1; any
@@ -112,10 +80,10 @@ def apply_link_filter(rho: np.ndarray, link_filter: LinkFilter) -> FilteredLink:
     negative eigenvalue of ``rho`` by up to 1/success.  Raises
     FilterAnnihilatesState when the success probability falls at or below 1e-12.
     """
-    if link_filter.is_identity:
-        return FilteredLink(state=rho, success_prob=1.0)
-    eps_l = link_filter.epsL
-    eps_r = link_filter.epsR
+    eps_l = _check_eps("eps_left", eps_left)
+    eps_r = _check_eps("eps_right", eps_right)
+    if eps_l == 1.0 and eps_r == 1.0:
+        return rho, 1.0
     # (F_L @ F_R) is diagonal, so conjugation is an elementwise rescale.
     diag = np.array([eps_l * eps_r, eps_l, eps_r, 1.0])
     scaled = np.asarray(rho, dtype=complex) * np.outer(diag, diag)
@@ -124,45 +92,36 @@ def apply_link_filter(rho: np.ndarray, link_filter: LinkFilter) -> FilteredLink:
         raise FilterAnnihilatesState(
             f"post-selection success probability {success:.3e} is at or below {ANNIHILATION_ATOL:.0e}"
         )
-    return FilteredLink(state=validate_density(scaled / success), success_prob=success)
+    return validate_density(scaled / success), success
 
 
-def assign_network_filters(n_links: int, spec: NetworkFilterSpec) -> list[LinkFilter]:
-    """Distribute per-party filter strengths onto the n links of a chain."""
+def filter_network(states: np.ndarray | list[np.ndarray], spec: NetworkFilterSpec) -> tuple[np.ndarray, float]:
+    """Filter every link of a chain; returns the ``(n, 4, 4)`` filtered links and the overall success.
+
+    Link j takes entries 2j and 2j+1 of (eps_first, *middle pairs, eps_last).  The
+    overall success probability is the product of the per-link traces.
+    Annihilation and positivity errors are re-raised with the 1-based link index.
+    """
+    n_links = len(states)
     if n_links < 2:
         raise ValueError(f"a chain needs at least 2 links, got {n_links}")
     if len(spec.middle) != n_links - 1:
         raise ValueError(
             f"expected {n_links - 1} intermediate filter pairs for {n_links} links, got {len(spec.middle)}"
         )
-    filters = [LinkFilter(spec.eps_first, spec.middle[0][0])]
-    for j in range(1, n_links - 1):
-        filters.append(LinkFilter(spec.middle[j - 1][1], spec.middle[j][0]))
-    filters.append(LinkFilter(spec.middle[-1][1], spec.eps_last))
-    return filters
-
-
-def filter_network(
-    states: list[np.ndarray] | tuple[np.ndarray, ...], spec: NetworkFilterSpec
-) -> tuple[list[FilteredLink], float]:
-    """Filter every link of a chain; returns the links and overall success.
-
-    The overall success probability is the product of the per-link traces.
-    Annihilation and positivity errors are re-raised with the 1-based link index.
-    """
-    filters = assign_network_filters(len(states), spec)
-    filtered: list[FilteredLink] = []
+    eps = (spec.eps_first, *itertools.chain.from_iterable(spec.middle), spec.eps_last)
+    filtered = []
     overall = 1.0
-    for index, (rho, link_filter) in enumerate(zip(states, filters), start=1):
+    for index, rho in enumerate(states):
         try:
-            link = apply_link_filter(rho, link_filter)
+            state, success = apply_link_filter(rho, eps[2 * index], eps[2 * index + 1])
         except FilterAnnihilatesState as exc:
-            raise FilterAnnihilatesState(f"link {index}: {exc}") from None
+            raise FilterAnnihilatesState(f"link {index + 1}: {exc}") from None
         except NotPositive as exc:
-            raise NotPositive(f"link {index}: filtered state has {exc}") from None
-        filtered.append(link)
-        overall *= link.success_prob
-    return filtered, overall
+            raise NotPositive(f"link {index + 1}: filtered state has {exc}") from None
+        filtered.append(state)
+        overall *= success
+    return np.stack(filtered), overall
 
 
 def filtered_bell_diagonal(

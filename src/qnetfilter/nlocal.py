@@ -30,7 +30,6 @@ from scipy.optimize import minimize
 from .core import ID2, PAULIS, _bloch_form, bloch_decompose, canonical_frame, from_bloch, validate_density
 from .filtering import (
     FilterAnnihilatesState,
-    LinkFilter,
     NetworkFilterSpec,
     apply_link_filter,
     filter_network,
@@ -64,13 +63,17 @@ class DimensionTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """A chain of link states plus the per-party filter strengths."""
+    """A chain of link states plus the per-party filter strengths.
 
-    links: tuple[np.ndarray, ...]
+    ``links`` takes any sequence of 4x4 density matrices and holds them, validated,
+    as a read-only ``(n, 4, 4)`` complex array.
+    """
+
+    links: np.ndarray
     filters: NetworkFilterSpec | None = None
 
     def __post_init__(self) -> None:
-        links = tuple(validate_density(link) for link in self.links)
+        links = [validate_density(link) for link in self.links]
         if len(links) < 2:
             raise ValueError(f"a chain needs at least 2 links, got {len(links)}")
         filters = self.filters
@@ -81,7 +84,9 @@ class NetworkSpec:
                 f"expected {len(links) - 1} intermediate filter pairs for {len(links)} links, "
                 f"got {len(filters.middle)}"
             )
-        object.__setattr__(self, "links", links)
+        stacked = np.stack(links)
+        stacked.flags.writeable = False
+        object.__setattr__(self, "links", stacked)
         object.__setattr__(self, "filters", filters)
 
     @property
@@ -126,21 +131,21 @@ class EvalResult:
     lhs_at_settings: float | None = None
 
 
-def _bound(tensors: list[np.ndarray]) -> float:
+def _bound(tensors: np.ndarray | list[np.ndarray]) -> float:
     first = 1.0
     second = 1.0
-    for svs in np.linalg.svd(np.stack(tensors), compute_uv=False):
+    for svs in np.linalg.svd(tensors, compute_uv=False):
         first *= svs[0]
         second *= svs[1]
     return float(np.sqrt(first + second))
 
 
-def _filtered_tensors(spec: NetworkSpec) -> tuple[list[np.ndarray], float]:
-    filtered, success = filter_network(list(spec.links), spec.filters)
-    return [_bloch_form(link.state).W for link in filtered], success
+def _filtered_tensors(spec: NetworkSpec) -> tuple[np.ndarray, float]:
+    filtered, success = filter_network(spec.links, spec.filters)
+    return _bloch_form(filtered).W, success
 
 
-def b_lin(links: tuple[np.ndarray, ...] | list[np.ndarray]) -> float:
+def b_lin(links: np.ndarray | tuple[np.ndarray, ...] | list[np.ndarray]) -> float:
     """Closed-form n-local bound of the unfiltered chain; validates each link."""
     return _bound([bloch_decompose(link).W for link in links])
 
@@ -153,7 +158,7 @@ def b_seq(spec: NetworkSpec) -> tuple[float, float]:
 
 def evaluate(spec: NetworkSpec, settings: MeasurementSettings | None = None) -> EvalResult:
     """Evaluate both bounds (and optionally the LHS at fixed settings)."""
-    unfiltered = _bound([_bloch_form(link).W for link in spec.links])
+    unfiltered = _bound(_bloch_form(spec.links).W)
     tensors, success = _filtered_tensors(spec)
     filtered = _bound(tensors)
     lhs = None
@@ -169,7 +174,7 @@ def evaluate(spec: NetworkSpec, settings: MeasurementSettings | None = None) -> 
 
 
 def _lhs_core(
-    tensors: list[np.ndarray],
+    tensors: np.ndarray | list,
     m0: np.ndarray,
     m1: np.ndarray,
     n0: np.ndarray,
@@ -227,10 +232,10 @@ def maximize_lhs(
     start at the closed-form optimum plus ``restarts`` seeded random starts,
     and the best value wins (earliest start on ties).
     """
-    filtered, _ = filter_network(list(spec.links), spec.filters)
+    filtered, _ = filter_network(spec.links, spec.filters)
     tensors = []
     for link in filtered:
-        _, form = canonical_frame(link.state)
+        _, form = canonical_frame(link)
         tensors.append(tuple(tuple(float(e) for e in row) for row in form.W))
 
     def negative_lhs(angles: np.ndarray) -> float:
@@ -300,6 +305,35 @@ def _spin_projectors(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (ID2 + observable), 0.5 * (ID2 - observable)
 
 
+def _joint_state(spec: NetworkSpec) -> np.ndarray:
+    """Kronecker product of the filtered links, in chain order; at most 3 links (dimension 4^n)."""
+    if spec.n > 3:
+        raise DimensionTooLarge(f"Born-rule enumeration supports at most 3 links, got n = {spec.n}")
+    filtered, _ = filter_network(spec.links, spec.filters)
+    joint = filtered[0]
+    for link in filtered[1:]:
+        joint = np.kron(joint, link)
+    return joint
+
+
+def _distribution(
+    joint: np.ndarray, n: int, settings: MeasurementSettings, y_first: int, y_last: int
+) -> dict[tuple[int, ...], float]:
+    first = _spin_projectors(settings.m0 if y_first == 0 else settings.m1)
+    last = _spin_projectors(settings.n0 if y_last == 0 else settings.n1)
+    distribution: dict[tuple[int, ...], float] = {}
+    for o_first in (0, 1):
+        for middles in itertools.product(range(4), repeat=n - 1):
+            partial = first[o_first]
+            for outcome in middles:
+                partial = np.kron(partial, _BELL_PROJECTORS[outcome])
+            for o_last in (0, 1):
+                operator = np.kron(partial, last[o_last])
+                prob = float(np.real(np.trace(joint @ operator)))
+                distribution[(o_first, *middles, o_last)] = prob
+    return distribution
+
+
 def born_distribution(
     spec: NetworkSpec, settings: MeasurementSettings, y_first: int, y_last: int
 ) -> dict[tuple[int, ...], float]:
@@ -309,27 +343,10 @@ def born_distribution(
     0..3 indexed per BELL_BITS.  Only chains with at most 3 links are
     enumerated (the joint state dimension grows as 4^n).
     """
-    if spec.n > 3:
-        raise DimensionTooLarge(f"Born-rule enumeration supports at most 3 links, got n = {spec.n}")
+    joint = _joint_state(spec)
     if y_first not in (0, 1) or y_last not in (0, 1):
         raise ValueError("settings choices must be 0 or 1")
-    filtered, _ = filter_network(list(spec.links), spec.filters)
-    joint = filtered[0].state
-    for link in filtered[1:]:
-        joint = np.kron(joint, link.state)
-    first = _spin_projectors(settings.m0 if y_first == 0 else settings.m1)
-    last = _spin_projectors(settings.n0 if y_last == 0 else settings.n1)
-    distribution: dict[tuple[int, ...], float] = {}
-    for o_first in (0, 1):
-        for middles in itertools.product(range(4), repeat=spec.n - 1):
-            partial = first[o_first]
-            for outcome in middles:
-                partial = np.kron(partial, _BELL_PROJECTORS[outcome])
-            for o_last in (0, 1):
-                operator = np.kron(partial, last[o_last])
-                prob = float(np.real(np.trace(joint @ operator)))
-                distribution[(o_first, *middles, o_last)] = prob
-    return distribution
+    return _distribution(joint, spec.n, settings, y_first, y_last)
 
 
 @dataclass(frozen=True)
@@ -347,13 +364,15 @@ def born_oracle(spec: NetworkSpec, settings: MeasurementSettings) -> OracleResul
 
     Independent of the closed-form path: probabilities come from projector
     traces on the joint state, the middle parities from the Bell outcome
-    bits.  Serves as the ground truth for lhs_at_settings.
+    bits.  Serves as the ground truth for lhs_at_settings.  The chain is filtered
+    and its joint state built once for all four setting pairs.
     """
+    joint = _joint_state(spec)
     i_value = 0.0
     j_value = 0.0
     max_dev = 0.0
     for y_first, y_last in itertools.product((0, 1), repeat=2):
-        distribution = born_distribution(spec, settings, y_first, y_last)
+        distribution = _distribution(joint, spec.n, settings, y_first, y_last)
         max_dev = max(max_dev, abs(sum(distribution.values()) - 1.0))
         corr_zz = 0.0
         corr_xx = 0.0
@@ -445,12 +464,11 @@ def conjecture_search(trials: int, seed: int = 0) -> ConjectureReport:
             for w, (eps_l, eps_r) in zip(w_pair, eps):
                 aligned = from_bloch(zeros, zeros, np.diag(w))
                 closed_w, closed_success = filtered_bell_diagonal(w, eps_l, eps_r)
-                direct = apply_link_filter(aligned, LinkFilter(eps_l, eps_r))
-                direct_w = _bloch_form(direct.state).W
+                direct, direct_success = apply_link_filter(aligned, eps_l, eps_r)
                 max_dev = max(
                     max_dev,
-                    float(np.max(np.abs(direct_w - np.diag(closed_w)))),
-                    abs(direct.success_prob - closed_success),
+                    float(np.max(np.abs(_bloch_form(direct).W - np.diag(closed_w)))),
+                    abs(direct_success - closed_success),
                 )
                 u_left = _random_local_unitary(rng)
                 u_right = _random_local_unitary(rng)

@@ -138,6 +138,16 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, command, cfg):
     assert out == ""
 
 
+def _link_config(link):
+    cfg = _example_config()
+    cfg["links"] = [link, cfg["links"][1]]
+    return cfg
+
+
+def _filters_config(**filters):
+    return dict(_example_config(), filters=dict({"middle": [[0.8, 0.97]]}, **filters))
+
+
 def _one_axis_config(**axis):
     cfg = _example_config()
     cfg["scan"] = {"axes": [dict({"path": "links.0.v", "min": 0.0, "max": 1.0, "steps": 3}, **axis)]}
@@ -171,11 +181,35 @@ def _one_axis_config(**axis):
             "channels.0.link must be a 1-based link index, got True",
         ),
         ("oracle", dict(_example_config(), seed=True), "seed must be an integer, got True"),
+        ("eval", _link_config({"family": "grud", "v": True, "x": 0.23}), "links.0.v must be a number, got True"),
+        ("eval", _link_config({"family": "grud", "v": 0.1, "x": None}), "links.0.x must be a number, got None"),
+        ("eval", _link_config({"family": "werner", "p": True}), "links.0.p must be a number, got True"),
+        (
+            "eval",
+            _link_config({"family": "product", "m": [0, 0, "0.5"], "n": [0, 0, 1]}),
+            "links.0.m.2 must be a number, got '0.5'",
+        ),
+        (
+            "eval",
+            dict(_example_config(), channels=[{"link": 1, "type": "bit_flip", "param": True}]),
+            "channels.0.param must be a number, got True",
+        ),
+        ("eval", _filters_config(first="0.5"), "filters.first must be a number, got '0.5'"),
+        ("eval", _filters_config(middle=[[True, 0.97]]), "filters.middle.0.0 must be a number, got True"),
+        ("eval", _filters_config(first=10**400), "filters.first is too large for a float"),
+        (
+            "oracle",
+            dict(_example_config(), settings=dict(SETTINGS, m0=[0, 0, 10**400])),
+            "settings.m0.2 is too large for a float",
+        ),
+        ("scan", _one_axis_config(max=10**400), "scan.axes.0.max is too large for a float"),
     ],
     ids=[
         "scan-min-string", "threshold-min-string", "scan-max-null", "threshold-min-null",
         "scan-path-int", "threshold-path-int", "scan-steps-true", "scan-not-object",
         "eval-settings-string", "oracle-settings-ragged", "eval-link-true", "oracle-seed-true",
+        "eval-v-true", "eval-x-null", "eval-p-true", "eval-product-string", "eval-param-true",
+        "eval-first-string", "eval-middle-true", "eval-first-huge", "oracle-settings-huge", "scan-max-huge",
     ],
 )
 def test_malformed_field_is_a_config_error(tmp_path, capsys, command, cfg, message):

@@ -24,6 +24,7 @@ from qnetfilter import (
     validate_density,
     werner_state,
 )
+from qnetfilter.core import _bloch_form
 
 SINGLET = np.zeros((4, 4), dtype=complex)
 SINGLET[1, 1] = SINGLET[2, 2] = 0.5
@@ -181,6 +182,16 @@ class TestKernelBits:
             expected = summed_from_bloch(form.a, form.b, form.W)
             assert np.array_equal(from_bloch(form.a, form.b, form.W), expected), name
 
+    def test_stacked_decomposition_equals_the_per_matrix_calls(self) -> None:
+        states = np.stack([np.asarray(rho, dtype=complex) for _, rho in kernel_states()])
+        stacked = _bloch_form(states)
+        assert stacked.W.shape == (len(states), 3, 3)
+        for k, rho in enumerate(states):
+            single = _bloch_form(rho)
+            assert np.array_equal(stacked.a[k], single.a), k
+            assert np.array_equal(stacked.b[k], single.b), k
+            assert np.array_equal(stacked.W[k], single.W), k
+
     def test_imaginary_coefficient_is_rejected(self) -> None:
         mat = np.eye(4, dtype=complex) / 4.0
         mat[0, 1] = mat[1, 0] = 5e-10j
@@ -288,6 +299,25 @@ class TestCanonicalFrame:
         second_state, second_form = canonical_frame(rho)
         assert np.array_equal(first_state, second_state)
         assert np.array_equal(first_form.W, second_form.W)
+
+    @pytest.mark.parametrize(
+        "rho",
+        [werner_state(0.6), from_bloch(np.zeros(3), np.zeros(3), np.diag([0.5, 0.5, -0.2]))],
+        ids=["werner-all-tied", "two-tied"],
+    )
+    def test_tied_singular_values(self, rho) -> None:
+        """With a degenerate spectrum the SVD gauge is free; the frame must still be diagonal and fixed."""
+        for seed in range(5):
+            rotations = Rotation.random(2, random_state=seed).as_matrix()
+            local = np.kron(rotation_to_unitary(rotations[0]), rotation_to_unitary(rotations[1]))
+            rotated = local @ rho @ local.conj().T
+            svs = correlation_singular_values(rotated)
+            state, form = canonical_frame(rotated)
+            np.testing.assert_allclose(form.W - np.diag(np.diag(form.W)), np.zeros((3, 3)), atol=1e-9)
+            np.testing.assert_allclose(np.abs(np.diag(form.W)), [svs[1], svs[2], svs[0]], atol=1e-9)
+            again_state, again_form = canonical_frame(rotated)
+            assert np.array_equal(again_state, state)
+            assert np.array_equal(again_form.W, form.W)
 
     def test_already_canonical_states_stay_diagonal(self) -> None:
         rho = from_bloch(np.zeros(3), np.zeros(3), np.diag([0.4, -0.2, 0.6]))

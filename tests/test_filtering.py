@@ -7,13 +7,9 @@ import pytest
 
 from qnetfilter import (
     FilterAnnihilatesState,
-    FilteredLink,
-    LinkFilter,
     NetworkFilterSpec,
     apply_link_filter,
-    assign_network_filters,
     filter_network,
-    filter_operator,
     filtered_bell_diagonal,
     bloch_decompose,
     from_bloch,
@@ -39,23 +35,12 @@ def random_bell_diagonal_entries(rng: np.random.Generator) -> np.ndarray:
             return w
 
 
-class TestFilterOperator:
-    def test_matrix(self) -> None:
-        np.testing.assert_allclose(filter_operator(0.3), np.diag([0.3, 1.0]))
-
-    def test_rejects_out_of_range(self) -> None:
-        with pytest.raises(ValueError, match="must lie in"):
-            filter_operator(1.5)
-
-
-class TestLinkFilter:
-    def test_identity_detection(self) -> None:
-        assert LinkFilter(1.0, 1.0).is_identity
-        assert not LinkFilter(1.0, 0.99).is_identity
-
-    def test_rejects_out_of_range(self) -> None:
-        with pytest.raises(ValueError, match="epsL"):
-            LinkFilter(-0.1, 0.5)
+def conjugated(rho: np.ndarray, eps_l: float, eps_r: float) -> tuple[np.ndarray, float]:
+    """Direct conjugation by diag(eps_l, 1) @ diag(eps_r, 1), normalised, and its trace."""
+    op = np.kron(np.diag([eps_l, 1.0]), np.diag([eps_r, 1.0]))
+    raw = op @ rho @ op.conj().T
+    success = np.trace(raw).real
+    return raw / success, success
 
 
 class TestApplyLinkFilter:
@@ -63,75 +48,102 @@ class TestApplyLinkFilter:
 
     def test_identity_filter_is_a_no_op(self) -> None:
         rho = np.eye(4, dtype=complex) / 4.0
-        out = apply_link_filter(rho, LinkFilter(1.0, 1.0))
-        assert isinstance(out, FilteredLink)
-        assert out.state is rho
-        assert out.success_prob == 1.0
+        state, success = apply_link_filter(rho, 1.0, 1.0)
+        assert state is rho
+        assert success == 1.0
+        state, success = apply_link_filter(rho, 1.0, 0.99)
+        assert state is not rho and success < 1.0
 
     def test_matches_direct_conjugation(self) -> None:
         rng = np.random.default_rng(43)
         for _ in range(40):
             rho = random_density(rng)
             eps_l, eps_r = rng.uniform(0.05, 1.0, size=2)
-            out = apply_link_filter(rho, LinkFilter(eps_l, eps_r))
-            op = np.kron(filter_operator(eps_l), filter_operator(eps_r))
-            raw = op @ rho @ op.conj().T
-            success = np.trace(raw).real
-            assert out.success_prob == pytest.approx(success, abs=1e-12)
-            np.testing.assert_allclose(out.state, raw / success, atol=1e-12)
+            state, success = apply_link_filter(rho, eps_l, eps_r)
+            expected, expected_success = conjugated(rho, eps_l, eps_r)
+            assert success == pytest.approx(expected_success, abs=1e-12)
+            np.testing.assert_allclose(state, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("eps_l, eps_r", [(0.0, 0.6), (0.6, 0.0), (1.0, 0.3), (0.3, 1.0)])
+    def test_boundary_strengths_match_direct_conjugation(self, eps_l, eps_r) -> None:
+        # eps 0 projects one qubit onto |1>; eps 1 on one side only leaves that qubit unfiltered.
+        rng = np.random.default_rng(67)
+        for _ in range(10):
+            rho = random_density(rng)
+            state, success = apply_link_filter(rho, eps_l, eps_r)
+            expected, expected_success = conjugated(rho, eps_l, eps_r)
+            assert success == pytest.approx(expected_success, abs=1e-12)
+            np.testing.assert_allclose(state, expected, atol=1e-12)
 
     def test_output_is_normalised(self) -> None:
         rng = np.random.default_rng(47)
-        out = apply_link_filter(random_density(rng), LinkFilter(0.4, 0.9))
-        assert np.trace(out.state).real == pytest.approx(1.0, abs=1e-12)
+        state, _ = apply_link_filter(random_density(rng), 0.4, 0.9)
+        assert np.trace(state).real == pytest.approx(1.0, abs=1e-12)
 
     def test_annihilated_state_raises(self) -> None:
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0  # |00><00| is killed by a zero filter on either qubit
         with pytest.raises(FilterAnnihilatesState, match="success probability"):
-            apply_link_filter(rho, LinkFilter(0.0, 0.5))
+            apply_link_filter(rho, 0.0, 0.5)
 
-
-class TestAssignNetworkFilters:
-    def test_chain_of_three(self) -> None:
-        spec = NetworkFilterSpec(eps_first=0.9, eps_last=0.8, middle=((0.1, 0.2), (0.3, 0.4)))
-        filters = assign_network_filters(3, spec)
-        assert filters == [LinkFilter(0.9, 0.1), LinkFilter(0.2, 0.3), LinkFilter(0.4, 0.8)]
-
-    def test_chain_of_two(self) -> None:
-        spec = NetworkFilterSpec(eps_first=0.9, eps_last=0.8, middle=((0.1, 0.2),))
-        assert assign_network_filters(2, spec) == [LinkFilter(0.9, 0.1), LinkFilter(0.2, 0.8)]
-
-    def test_rejects_wrong_middle_length(self) -> None:
-        with pytest.raises(ValueError, match="intermediate filter pairs"):
-            assign_network_filters(3, NetworkFilterSpec(middle=((0.5, 0.5),)))
-
-    def test_rejects_short_chain(self) -> None:
-        with pytest.raises(ValueError, match="at least 2 links"):
-            assign_network_filters(1, NetworkFilterSpec(middle=()))
-
-    def test_identity_classmethod(self) -> None:
-        spec = NetworkFilterSpec.identity(4)
-        assert spec.eps_first == spec.eps_last == 1.0
-        assert all(f.is_identity for f in assign_network_filters(4, spec))
+    @pytest.mark.parametrize("eps_l, eps_r, name", [(-0.1, 0.5, "eps_left"), (0.5, 1.5, "eps_right")])
+    def test_rejects_out_of_range(self, eps_l, eps_r, name) -> None:
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            apply_link_filter(np.eye(4) / 4.0, eps_l, eps_r)
 
 
 class TestFilterNetwork:
+    @pytest.mark.parametrize(
+        "spec, strengths",
+        [
+            (
+                NetworkFilterSpec(eps_first=0.9, eps_last=0.8, middle=((0.1, 0.2),)),
+                [(0.9, 0.1), (0.2, 0.8)],
+            ),
+            (
+                NetworkFilterSpec(eps_first=0.9, eps_last=0.8, middle=((0.1, 0.2), (0.3, 0.4))),
+                [(0.9, 0.1), (0.2, 0.3), (0.4, 0.8)],
+            ),
+        ],
+        ids=["two-links", "three-links"],
+    )
+    def test_equals_per_link_filters(self, spec, strengths) -> None:
+        rng = np.random.default_rng(71)
+        states = [random_density(rng) for _ in strengths]
+        filtered, overall = filter_network(states, spec)
+        assert filtered.shape == (len(states), 4, 4)
+        expected = [apply_link_filter(rho, *pair)[0] for rho, pair in zip(states, strengths)]
+        assert np.array_equal(filtered, np.stack(expected))
+
     def test_overall_success_is_the_product(self) -> None:
         rng = np.random.default_rng(53)
         states = [random_density(rng) for _ in range(3)]
         spec = NetworkFilterSpec(eps_first=0.7, eps_last=0.9, middle=((0.5, 0.6), (0.8, 0.95)))
-        filtered, overall = filter_network(states, spec)
-        assert len(filtered) == 3
-        assert overall == pytest.approx(np.prod([f.success_prob for f in filtered]), abs=1e-15)
+        _, overall = filter_network(states, spec)
+        strengths = [(0.7, 0.5), (0.6, 0.8), (0.95, 0.9)]
+        successes = [apply_link_filter(rho, *pair)[1] for rho, pair in zip(states, strengths)]
+        assert overall == pytest.approx(np.prod(successes), abs=1e-15)
 
     def test_identity_spec_returns_inputs(self) -> None:
         rng = np.random.default_rng(59)
         states = [random_density(rng) for _ in range(2)]
         filtered, overall = filter_network(states, NetworkFilterSpec.identity(2))
         assert overall == 1.0
-        assert filtered[0].state is states[0]
-        assert filtered[1].state is states[1]
+        assert np.array_equal(filtered, np.stack(states))
+
+    def test_identity_classmethod(self) -> None:
+        spec = NetworkFilterSpec.identity(4)
+        assert spec.eps_first == spec.eps_last == 1.0
+        assert spec.middle == ((1.0, 1.0),) * 3
+
+    def test_rejects_wrong_middle_length(self) -> None:
+        states = [np.eye(4) / 4.0] * 3
+        with pytest.raises(ValueError, match="expected 2 intermediate filter pairs for 3 links, got 1"):
+            filter_network(states, NetworkFilterSpec(middle=((0.5, 0.5),)))
+
+    def test_rejects_short_chain(self) -> None:
+        with pytest.raises(ValueError, match="a chain needs at least 2 links, got 1"):
+            filter_network([np.eye(4) / 4.0], NetworkFilterSpec(middle=()))
 
     def test_annihilation_names_the_link(self) -> None:
         ground = np.zeros((4, 4), dtype=complex)
@@ -151,13 +163,22 @@ class TestFilteredBellDiagonal:
             w = random_bell_diagonal_entries(rng)
             eps_l, eps_r = rng.uniform(0.1, 1.0, size=2)
             closed_w, closed_success = filtered_bell_diagonal(w, eps_l, eps_r)
-            direct = apply_link_filter(
-                from_bloch(np.zeros(3), np.zeros(3), np.diag(w)), LinkFilter(eps_l, eps_r)
+            direct, direct_success = apply_link_filter(
+                from_bloch(np.zeros(3), np.zeros(3), np.diag(w)), eps_l, eps_r
             )
-            assert closed_success == pytest.approx(direct.success_prob, abs=1e-12)
-            np.testing.assert_allclose(
-                np.diag(closed_w), bloch_decompose(direct.state).W, atol=1e-12
+            assert closed_success == pytest.approx(direct_success, abs=1e-12)
+            np.testing.assert_allclose(np.diag(closed_w), bloch_decompose(direct).W, atol=1e-12)
+
+    def test_one_sided_zero_filter_matches_generic_filtering(self) -> None:
+        rng = np.random.default_rng(73)
+        for _ in range(10):
+            w = random_bell_diagonal_entries(rng)
+            closed_w, closed_success = filtered_bell_diagonal(w, 0.0, 1.0)
+            direct, direct_success = apply_link_filter(
+                from_bloch(np.zeros(3), np.zeros(3), np.diag(w)), 0.0, 1.0
             )
+            assert closed_success == pytest.approx(direct_success, abs=1e-12)
+            np.testing.assert_allclose(np.diag(closed_w), bloch_decompose(direct).W, atol=1e-12)
 
     def test_identity_filter_keeps_the_state(self) -> None:
         w = np.array([0.3, -0.5, 0.7])

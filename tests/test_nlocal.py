@@ -56,6 +56,12 @@ def random_settings(rng: np.random.Generator) -> MeasurementSettings:
     return MeasurementSettings(*vectors)
 
 
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    ginibre = rng.normal(size=(2, 2)) + 1.0j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(ginibre)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def bell_diagonal(w1: float, w2: float, w3: float) -> np.ndarray:
     return from_bloch(np.zeros(3), np.zeros(3), np.diag([w1, w2, w3]))
 
@@ -79,6 +85,13 @@ class TestSpecTypes:
     def test_network_checks_filter_shape(self) -> None:
         with pytest.raises(ValueError, match="intermediate filter pairs"):
             NetworkSpec(links=(SINGLET, SINGLET), filters=NetworkFilterSpec(middle=()))
+
+    def test_links_are_a_read_only_stack(self) -> None:
+        spec = NetworkSpec(links=[SINGLET, np.eye(4) / 4.0, SINGLET])
+        assert spec.links.shape == (3, 4, 4) and spec.links.dtype == complex
+        assert np.array_equal(spec.links[1], np.eye(4) / 4.0)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.links[0, 0, 0] = 1.0
 
     def test_default_filters_are_identity(self) -> None:
         spec = NetworkSpec(links=(SINGLET, SINGLET))
@@ -311,6 +324,23 @@ class TestMaximizeLhs:
             value, _ = maximize_lhs(spec)
             bound, _ = b_seq(spec)
             assert value == pytest.approx(bound, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "filters",
+        [None, NetworkFilterSpec(eps_first=0.7, eps_last=0.9, middle=((0.6, 0.8),))],
+        ids=["unfiltered", "filtered"],
+    )
+    def test_tied_singular_values_reach_the_bound(self, filters) -> None:
+        # Werner(0.6) has three equal singular values, diag(0.5, 0.5, -0.2) two.
+        rng = np.random.default_rng(131)
+        links = []
+        for rho in (werner_state(0.6), bell_diagonal(0.5, 0.5, -0.2)):
+            local = np.kron(random_unitary(rng), random_unitary(rng))
+            links.append(local @ rho @ local.conj().T)
+        spec = NetworkSpec(links=tuple(links), filters=filters)
+        value, _ = maximize_lhs(spec)
+        bound, _ = b_seq(spec)
+        assert value == pytest.approx(bound, abs=1e-6)
 
     def test_deterministic_for_fixed_seed(self) -> None:
         rng = np.random.default_rng(113)
