@@ -46,8 +46,8 @@ print(
 value, settings = maximize_lhs(spec, seed=0)
 print(f"maximized LHS = {value:.9f}  (gap to bound: {abs(value - result.b_seq):.2e})")
 
-# And the fast LHS formula agrees with brute-force Born-rule enumeration of
-# every outcome of the post-selected measurement protocol.
+# And the fast LHS formula agrees with the Born-rule probabilities of every
+# outcome of the post-selected measurement protocol.
 oracle = born_oracle(spec, settings)
 closed = lhs_at_settings(spec, settings)
 print(f"closed form {closed:.12f} vs enumeration {oracle.lhs:.12f}")

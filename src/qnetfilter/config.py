@@ -80,8 +80,11 @@ def load_config(path: str) -> dict:
     links = cfg.get("links")
     if not isinstance(links, list) or not links:
         raise ConfigError("links must be a non-empty array")
-    if "n" in cfg and cfg["n"] != len(links):
-        raise ConfigError(f"n = {cfg['n']} does not match the number of links ({len(links)})")
+    if "n" in cfg:
+        if not _is_json_number(cfg["n"], int):
+            raise ConfigError(f"n must be an integer, got {cfg['n']!r}")
+        if cfg["n"] != len(links):
+            raise ConfigError(f"n = {cfg['n']} does not match the number of links ({len(links)})")
     return cfg
 
 
@@ -102,11 +105,21 @@ def _key(node: object, part: str, path: str) -> str | int:
     raise ConfigError(f"no such config path: {path} (cannot descend into {part!r})")
 
 
+def _keys(cfg: dict, path: str) -> tuple[str | int, ...]:
+    """The dict keys and list indices that a dotted ``path`` names inside ``cfg``."""
+    node: object = cfg
+    keys = []
+    for part in path.split("."):
+        keys.append(_key(node, part, path))
+        node = node[keys[-1]]
+    return tuple(keys)
+
+
 def get_path(cfg: dict, path: str) -> object:
     """Resolve a dotted path like ``links.0.v`` inside a config dict."""
     node: object = cfg
-    for part in path.split("."):
-        node = node[_key(node, part, path)]
+    for key in _keys(cfg, path):
+        node = node[key]
     return node
 
 
@@ -161,7 +174,7 @@ def _build_link(index: int, entry: object) -> np.ndarray:
     family = entry.get("family")
     if family is None:
         raise ConfigError(f"links.{index}.family is required")
-    if family not in _FAMILY_PARAMS:
+    if not isinstance(family, str) or family not in _FAMILY_PARAMS:
         raise ConfigError(f"links.{index}.family: unknown family {family!r}")
     params = _FAMILY_PARAMS[family]
     for key in entry:
@@ -170,10 +183,9 @@ def _build_link(index: int, entry: object) -> np.ndarray:
     missing = [key for key in params if key not in entry]
     if missing:
         raise ConfigError(f"links.{index}.{missing[0]} is required for family {family!r}")
-    if family != "explicit":
-        check = _check_numbers if family == "product" else _number
-        for key in params:
-            check(entry[key], f"links.{index}.{key}")
+    check = _check_numbers if family in ("product", "explicit") else _number
+    for key in params:
+        check(entry[key], f"links.{index}.{key}")
     try:
         if family == "grud":
             return grud_state(entry["v"], entry["x"])
@@ -200,7 +212,7 @@ def _apply_channels(cfg: dict, states: list[np.ndarray]) -> list[np.ndarray]:
         if not _is_json_number(link, int) or not 1 <= link <= len(states):
             raise ConfigError(f"channels.{position}.link must be a 1-based link index, got {link!r}")
         kind = entry["type"]
-        if kind not in _CHANNEL_TYPES:
+        if not isinstance(kind, str) or kind not in _CHANNEL_TYPES:
             raise ConfigError(f"channels.{position}.type: unknown channel type {kind!r}")
         sides = entry.get("sides", "both")
         if sides not in SIDES:
@@ -288,6 +300,7 @@ def scan_axes(cfg: dict) -> list[ScanAxis]:
     if not isinstance(axes, list) or not 1 <= len(axes) <= 3:
         raise ConfigError("scan.axes must hold between 1 and 3 axes")
     parsed = []
+    seen: dict[tuple[str | int, ...], int] = {}
     for index, axis in enumerate(axes):
         where = f"scan.axes.{index}"
         _fields(axis, where, ("path", "min", "max", "steps"), ("path", "min", "max"))
@@ -297,7 +310,10 @@ def scan_axes(cfg: dict) -> list[ScanAxis]:
         path = axis["path"]
         if not isinstance(path, str):
             raise ConfigError(f"{where}.path must be a string, got {path!r}")
-        get_path(cfg, path)  # must resolve against the base config
+        keys = _keys(cfg, path)  # must resolve against the base config
+        if keys in seen:
+            raise ConfigError(f"{where}.path {path!r} names the same value as scan.axes.{seen[keys]}.path")
+        seen[keys] = index
         low, high = (float(_number(axis[bound], f"{where}.{bound}")) for bound in ("min", "max"))
         parsed.append(ScanAxis(path=path, values=np.linspace(low, high, steps)))
     return parsed

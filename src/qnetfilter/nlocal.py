@@ -297,41 +297,38 @@ _BELL_VECTORS = (
 # second bit the x@x parity.
 BELL_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-_BELL_PROJECTORS = tuple(np.outer(vec, vec.conj()).astype(complex) for vec in _BELL_VECTORS)
+# _BELL_TENSORS[m, b, a, b', a']: projector m on the pair an intermediate party
+# holds, b from the link on its left and a from the link on its right.
+_BELL_TENSORS = np.array([np.outer(vec, vec.conj()) for vec in _BELL_VECTORS], dtype=complex).reshape(4, 2, 2, 2, 2)
 
 
-def _spin_projectors(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spin_projectors(direction: np.ndarray) -> np.ndarray:
+    """Projectors onto outcome 0 (spin +1) and 1 (spin -1) along ``direction``, as a (2, 2, 2) stack."""
     observable = sum(direction[i] * PAULIS[i] for i in range(3))
-    return 0.5 * (ID2 + observable), 0.5 * (ID2 - observable)
+    return np.stack([0.5 * (ID2 + observable), 0.5 * (ID2 - observable)])
 
 
-def _joint_state(spec: NetworkSpec) -> np.ndarray:
-    """Kronecker product of the filtered links, in chain order; at most 3 links (dimension 4^n)."""
+def _link_tensors(spec: NetworkSpec) -> np.ndarray:
+    """The filtered links as ``rho[k, a, b, a', b']`` over each link's two qubits; at most 3 links."""
     if spec.n > 3:
         raise DimensionTooLarge(f"Born-rule enumeration supports at most 3 links, got n = {spec.n}")
     filtered, _ = filter_network(spec.links, spec.filters)
-    joint = filtered[0]
-    for link in filtered[1:]:
-        joint = np.kron(joint, link)
-    return joint
+    return filtered.reshape(-1, 2, 2, 2, 2)
 
 
 def _distribution(
-    joint: np.ndarray, n: int, settings: MeasurementSettings, y_first: int, y_last: int
-) -> dict[tuple[int, ...], float]:
+    links: np.ndarray, settings: MeasurementSettings, y_first: int, y_last: int
+) -> np.ndarray:
+    """``p[o_first, bell_2, ..., bell_n, o_last]``, the Born rule traced link by link.
+
+    ``partial[..., b, b']`` has every qubit traced out up to the latest link's right one.
+    """
     first = _spin_projectors(settings.m0 if y_first == 0 else settings.m1)
     last = _spin_projectors(settings.n0 if y_last == 0 else settings.n1)
-    distribution: dict[tuple[int, ...], float] = {}
-    for o_first in (0, 1):
-        for middles in itertools.product(range(4), repeat=n - 1):
-            partial = first[o_first]
-            for outcome in middles:
-                partial = np.kron(partial, _BELL_PROJECTORS[outcome])
-            for o_last in (0, 1):
-                operator = np.kron(partial, last[o_last])
-                prob = float(np.real(np.trace(joint @ operator)))
-                distribution[(o_first, *middles, o_last)] = prob
-    return distribution
+    partial = np.einsum("oxa,abxc->obc", first, links[0])
+    for link in links[1:]:
+        partial = np.einsum("...bc,mcybz,zdye->...mde", partial, _BELL_TENSORS, link)
+    return np.einsum("...bc,ocb->...o", partial, last).real
 
 
 def born_distribution(
@@ -341,12 +338,12 @@ def born_distribution(
 
     Keys are (o_first, bell_2, ..., bell_n, o_last) with bell outcomes in
     0..3 indexed per BELL_BITS.  Only chains with at most 3 links are
-    enumerated (the joint state dimension grows as 4^n).
+    enumerated (the number of outcomes grows as 4^n).
     """
-    joint = _joint_state(spec)
+    links = _link_tensors(spec)
     if y_first not in (0, 1) or y_last not in (0, 1):
         raise ValueError("settings choices must be 0 or 1")
-    return _distribution(joint, spec.n, settings, y_first, y_last)
+    return {outcome: float(p) for outcome, p in np.ndenumerate(_distribution(links, settings, y_first, y_last))}
 
 
 @dataclass(frozen=True)
@@ -359,31 +356,32 @@ class OracleResult:
     max_distribution_dev: float  # largest |sum of outcome probabilities - 1|
 
 
+def _parity_signs(n: int, bit: int) -> np.ndarray:
+    """(-1)^parity over the outcome axes of ``_distribution``; a Bell outcome adds its ``bit``."""
+    signs = np.array([1.0, -1.0])
+    for _ in range(n - 1):
+        signs = np.multiply.outer(signs, [(-1.0) ** bits[bit] for bits in BELL_BITS])
+    return np.multiply.outer(signs, [1.0, -1.0])
+
+
 def born_oracle(spec: NetworkSpec, settings: MeasurementSettings) -> OracleResult:
     """Evaluate I, J and the LHS by direct outcome enumeration.
 
     Independent of the closed-form path: probabilities come from projector
-    traces on the joint state, the middle parities from the Bell outcome
+    traces on the filtered link states, the middle parities from the Bell outcome
     bits.  Serves as the ground truth for lhs_at_settings.  The chain is filtered
-    and its joint state built once for all four setting pairs.
+    once for all four setting pairs.
     """
-    joint = _joint_state(spec)
+    links = _link_tensors(spec)
+    sign_zz, sign_xx = _parity_signs(spec.n, 0), _parity_signs(spec.n, 1)
     i_value = 0.0
     j_value = 0.0
     max_dev = 0.0
     for y_first, y_last in itertools.product((0, 1), repeat=2):
-        distribution = _distribution(joint, spec.n, settings, y_first, y_last)
-        max_dev = max(max_dev, abs(sum(distribution.values()) - 1.0))
-        corr_zz = 0.0
-        corr_xx = 0.0
-        for outcome, prob in distribution.items():
-            o_first, *middles, o_last = outcome
-            parity_zz = o_first + o_last + sum(BELL_BITS[m][0] for m in middles)
-            parity_xx = o_first + o_last + sum(BELL_BITS[m][1] for m in middles)
-            corr_zz += (-1.0) ** parity_zz * prob
-            corr_xx += (-1.0) ** parity_xx * prob
-        i_value += corr_zz
-        j_value += (-1.0) ** (y_first + y_last) * corr_xx
+        distribution = _distribution(links, settings, y_first, y_last)
+        max_dev = max(max_dev, abs(float(distribution.sum()) - 1.0))
+        i_value += float((sign_zz * distribution).sum())
+        j_value += (-1.0) ** (y_first + y_last) * float((sign_xx * distribution).sum())
     i_value /= 4.0
     j_value /= 4.0
     lhs = float(np.sqrt(abs(i_value)) + np.sqrt(abs(j_value)))

@@ -154,6 +154,26 @@ def _one_axis_config(**axis):
     return cfg
 
 
+def _two_axis_config(first_path, second_path):
+    cfg = _example_config()
+    axes = [{"path": path, "min": 0.0, "max": 1.0, "steps": 2} for path in (first_path, second_path)]
+    cfg["scan"] = {"axes": axes}
+    return cfg
+
+
+def _explicit_link_config(entry):
+    # Diagonal [re, im] pairs with ``entry`` as the real part of the first one.
+    matrix = [[[0, 0] for _ in range(4)] for _ in range(4)]
+    matrix[0][0] = [entry, 0]
+    for k in range(1, 4):
+        matrix[k][k] = [0.25, 0]
+    return _link_config({"family": "explicit", "matrix": matrix})
+
+
+def _channel_config(**channel):
+    return dict(_example_config(), channels=[dict({"link": 1, "type": "bit_flip", "param": 0.1}, **channel)])
+
+
 @pytest.mark.parametrize(
     "command, cfg, message",
     [
@@ -203,6 +223,23 @@ def _one_axis_config(**axis):
             "settings.m0.2 is too large for a float",
         ),
         ("scan", _one_axis_config(max=10**400), "scan.axes.0.max is too large for a float"),
+        ("eval", _link_config({"family": ["grud"]}), "links.0.family: unknown family ['grud']"),
+        ("oracle", _link_config({"family": {"name": "grud"}}), "links.0.family: unknown family {'name': 'grud'}"),
+        ("eval", _channel_config(type={"name": "flip"}), "channels.0.type: unknown channel type {'name': 'flip'}"),
+        ("eval", _channel_config(type=["bit_flip"]), "channels.0.type: unknown channel type ['bit_flip']"),
+        ("eval", dict(_example_config(), n=2.0), "n must be an integer, got 2.0"),
+        ("eval", _explicit_link_config(True), "links.0.matrix.0.0.0 must be a number, got True"),
+        ("eval", _explicit_link_config("0.25"), "links.0.matrix.0.0.0 must be a number, got '0.25'"),
+        (
+            "scan",
+            _two_axis_config("links.0.v", "links.0.v"),
+            "scan.axes.1.path 'links.0.v' names the same value as scan.axes.0.path",
+        ),
+        (
+            "scan",
+            _two_axis_config("filters.middle.0.1", "filters.middle.00.1"),
+            "scan.axes.1.path 'filters.middle.00.1' names the same value as scan.axes.0.path",
+        ),
     ],
     ids=[
         "scan-min-string", "threshold-min-string", "scan-max-null", "threshold-min-null",
@@ -210,6 +247,8 @@ def _one_axis_config(**axis):
         "eval-settings-string", "oracle-settings-ragged", "eval-link-true", "oracle-seed-true",
         "eval-v-true", "eval-x-null", "eval-p-true", "eval-product-string", "eval-param-true",
         "eval-first-string", "eval-middle-true", "eval-first-huge", "oracle-settings-huge", "scan-max-huge",
+        "eval-family-array", "oracle-family-object", "eval-type-object", "eval-type-array", "eval-n-float",
+        "eval-explicit-true", "eval-explicit-string", "scan-repeated-path", "scan-repeated-index-spelling",
     ],
 )
 def test_malformed_field_is_a_config_error(tmp_path, capsys, command, cfg, message):

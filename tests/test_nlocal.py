@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from qnetfilter import (
     canonical_frame,
     conjecture_search,
     evaluate,
+    filter_network,
     from_bloch,
     grud_state,
     lhs_at_settings,
@@ -350,6 +354,48 @@ class TestMaximizeLhs:
         assert first == second
 
 
+# The dense Born-rule enumeration that the link-by-link contraction replaced:
+# the 4^n joint state as a Kronecker product of the filtered links, and one
+# Kronecker operator per outcome.  Independent of the package's projectors.
+DENSE_PAULIS = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+# phi+, phi-, psi+, psi-, with (z@z, x@x) parity bits (0, 0), (0, 1), (1, 0), (1, 1).
+DENSE_BELL = [np.array(v) / np.sqrt(2.0) for v in ([1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0])]
+DENSE_PARITY_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def dense_born_reference(spec: NetworkSpec, settings: MeasurementSettings):
+    """Per (y_first, y_last), the outcome distribution as a dict; then I and J."""
+    filtered, _ = filter_network(spec.links, spec.filters)
+    joint = functools.reduce(np.kron, filtered)
+
+    def spin(direction):
+        observable = sum(d * pauli for d, pauli in zip(direction, DENSE_PAULIS))
+        return 0.5 * (np.eye(2) + observable), 0.5 * (np.eye(2) - observable)
+
+    distributions = {}
+    i_value = j_value = 0.0
+    for y_first, y_last in itertools.product((0, 1), repeat=2):
+        first = spin((settings.m0, settings.m1)[y_first])
+        last = spin((settings.n0, settings.n1)[y_last])
+        distribution = {}
+        for outcome in itertools.product((0, 1), *[range(4)] * (spec.n - 1), (0, 1)):
+            factors = [np.outer(DENSE_BELL[m], DENSE_BELL[m]) for m in outcome[1:-1]]
+            operator = functools.reduce(np.kron, [first[outcome[0]], *factors, last[outcome[-1]]])
+            distribution[outcome] = float(np.real(np.trace(joint @ operator)))
+        for outcome, prob in distribution.items():
+            ends = outcome[0] + outcome[-1]
+            i_value += (-1.0) ** (ends + sum(DENSE_PARITY_BITS[m][0] for m in outcome[1:-1])) * prob / 4.0
+            j_value += (-1.0) ** (
+                y_first + y_last + ends + sum(DENSE_PARITY_BITS[m][1] for m in outcome[1:-1])
+            ) * prob / 4.0
+        distributions[(y_first, y_last)] = distribution
+    return distributions, i_value, j_value
+
+
 class TestBornOracle:
     def test_distributions_are_normalised(self) -> None:
         rng = np.random.default_rng(127)
@@ -362,6 +408,28 @@ class TestBornOracle:
                     assert len(dist) == 2 * 4 ** (n - 1) * 2
                     assert min(dist.values()) >= -1e-12
                     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_the_dense_enumeration(self, n) -> None:
+        rng = np.random.default_rng(137 + n)
+        for _ in range(4):
+            spec = NetworkSpec(
+                links=tuple(random_density(rng) for _ in range(n)),
+                filters=NetworkFilterSpec(
+                    eps_first=rng.uniform(0.2, 1.0),
+                    eps_last=rng.uniform(0.2, 1.0),
+                    middle=tuple(tuple(rng.uniform(0.2, 1.0, size=2)) for _ in range(n - 1)),
+                ),
+            )
+            settings = random_settings(rng)
+            distributions, i_value, j_value = dense_born_reference(spec, settings)
+            for (y_first, y_last), expected in distributions.items():
+                dist = born_distribution(spec, settings, y_first, y_last)
+                assert list(dist) == list(expected)
+                assert max(abs(dist[key] - prob) for key, prob in expected.items()) <= 1e-15
+            oracle = born_oracle(spec, settings)
+            assert abs(oracle.i_value - i_value) <= 1e-15
+            assert abs(oracle.j_value - j_value) <= 1e-15
 
     def test_rejects_long_chains(self) -> None:
         spec = NetworkSpec(links=(SINGLET,) * 4)
