@@ -32,13 +32,14 @@ from scipy.optimize import bisect
 from .config import (
     ConfigError,
     ScanAxis,
+    _keys,
     _number,
     build_network,
     build_settings,
     config_seed,
-    config_with_values,
     get_path,
     load_config,
+    network_factory,
     scan_axes,
 )
 from .core import NotHermitian, NotPositive
@@ -98,10 +99,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _grid(cfg: dict, axes: list[ScanAxis]) -> Iterator[tuple[tuple[float, ...], NetworkSpec]]:
     """Yield each point of the axes' grid in row-major order, with the network built at it."""
-    paths = [axis.path for axis in axes]
+    build = network_factory(cfg, [axis.path for axis in axes])
     for point in itertools.product(*[axis.values for axis in axes]):
         values = tuple(float(v) for v in point)
-        yield values, build_network(config_with_values(cfg, dict(zip(paths, values))))
+        yield values, build(values)
 
 
 def _scan_rows(cfg: dict) -> tuple[list[str], list[list[str]]]:
@@ -139,9 +140,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def _threshold(cfg: dict, path: str, lo: float, hi: float, target: str) -> float:
     """Bisect where ``target`` crosses 1 as the config value at ``path`` runs from lo to hi."""
+    build = network_factory(cfg, [path])
 
     def objective(value: float) -> float:
-        spec = build_network(config_with_values(cfg, {path: float(value)}))
+        spec = build((float(value),))
         bound = b_lin(spec.links) if target == "b_lin" else b_seq(spec)[0]
         return bound - 1.0
 
@@ -174,9 +176,16 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     free = [token.strip() for token in args.free.split(",") if token.strip()]
     seed = args.seed if args.seed is not None else config_seed(cfg)
     start = []
-    for path in free:
+    seen: dict[tuple[str | int, ...], int] = {}
+    for position, path in enumerate(free):
         if not path.startswith("filters."):
             raise ConfigError(f"--free path {path!r} must reference a filter entry")
+        keys = _keys(cfg, path)
+        if keys in seen:
+            raise ConfigError(
+                f"--free path {position + 1} ({path!r}) names the same value as --free path {seen[keys] + 1}"
+            )
+        seen[keys] = position
         value = get_path(cfg, path)
         try:
             start.append(float(_number(value, path)))
@@ -188,11 +197,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         _print_json({"seed": seed, "free": [], "argmax": {}, "best": _eval_payload(result)})
         return 0
 
+    build = network_factory(cfg, free)
+
     def negative_b_seq(values: np.ndarray) -> float:
-        assignments = dict(zip(free, (float(v) for v in values)))
         try:
-            spec = build_network(config_with_values(cfg, assignments))
-            return -b_seq(spec)[0]
+            return -b_seq(build([float(v) for v in values]))[0]
         except FilterAnnihilatesState:
             return 1.0  # score -1.0: annihilating assignments never win
 
@@ -200,7 +209,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     starts = [np.array(start)] + [rng.uniform(0.0, 1.0, size=len(free)) for _ in range(16)]
     _, best_x = nelder_mead(negative_b_seq, starts, [(0.0, 1.0)] * len(free))
     argmax = dict(zip(free, (float(v) for v in best_x)))
-    final = evaluate(build_network(config_with_values(cfg, argmax)))
+    final = evaluate(build(list(argmax.values())))
     _print_json({"seed": seed, "free": free, "argmax": argmax, "best": _eval_payload(final)})
     return 0
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import json
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "build_states",
     "build_filter_spec",
     "build_network",
+    "network_factory",
     "build_settings",
     "scan_axes",
     "config_seed",
@@ -95,10 +97,10 @@ def _key(node: object, part: str, path: str) -> str | int:
             raise ConfigError(f"no such config path: {path} (missing {part!r})")
         return part
     if isinstance(node, list):
-        try:
-            index = int(part)
-        except ValueError:
-            raise ConfigError(f"no such config path: {path} ({part!r} is not an index)") from None
+        # Only the canonical spelling: ASCII digits, no sign, space, underscore or leading zero.
+        if not (part.isascii() and part.isdigit() and (part == "0" or part[0] != "0")):
+            raise ConfigError(f"no such config path: {path} ({part!r} is not an index)")
+        index = int(part)
         if not 0 <= index < len(node):
             raise ConfigError(f"no such config path: {path} (index {index} out of range)")
         return index
@@ -261,11 +263,44 @@ def build_filter_spec(cfg: dict, n_links: int) -> NetworkFilterSpec:
 
 def build_network(cfg: dict) -> NetworkSpec:
     """Assemble the full chain: states, channels, then filter assignment."""
-    states = build_states(cfg)
+    return _network(cfg, build_states(cfg))
+
+
+def _network(cfg: dict, states: list[np.ndarray]) -> NetworkSpec:
+    """The chain of ``cfg`` on its link ``states``, already built with channels applied."""
     if len(states) < 2:
         raise ConfigError("links: a chain needs at least 2 links")
     filters = build_filter_spec(cfg, len(states))
     return NetworkSpec(links=tuple(states), filters=filters)
+
+
+# The top-level fields that build_states reads; a value anywhere else leaves the link states as they are.
+_STATE_FIELDS = ("links", "channels")
+
+
+def network_factory(cfg: dict, paths: Sequence[str]) -> Callable[[Sequence[float]], NetworkSpec]:
+    """A function from values of the dotted ``paths`` to the network ``cfg`` describes with them.
+
+    Each call assigns the values with ``config_with_values``.  It rebuilds the link
+    states only when a value on a ``links.*`` or ``channels.*`` path differs from the
+    previous call that built without error; otherwise it reuses that call's states
+    and builds only the filters and the ``NetworkSpec``.
+    """
+    state_paths = [k for k, path in enumerate(paths) if path.split(".", 1)[0] in _STATE_FIELDS]
+    # The state-path values and the states of the last network built.
+    last_key: list[str] | None = None
+    last_states: list[np.ndarray] = []
+
+    def build(values: Sequence[float]) -> NetworkSpec:
+        nonlocal last_key, last_states
+        point = config_with_values(cfg, dict(zip(paths, values)))
+        key = [repr(values[k]) for k in state_paths]  # repr tells 0.0 from -0.0, which == does not
+        states = last_states if key == last_key else build_states(point)
+        spec = _network(point, states)
+        last_key, last_states = key, states
+        return spec
+
+    return build
 
 
 def build_settings(cfg: dict) -> MeasurementSettings | None:

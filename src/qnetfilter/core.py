@@ -65,12 +65,34 @@ class NotPositive(ValueError):
 
 
 def validate_density(rho: np.ndarray) -> np.ndarray:
-    """Check that ``rho`` is a 4x4 density matrix and return it as complex.
+    """Check that ``rho`` is a 4x4 density matrix, or a ``(..., 4, 4)`` stack of them; return it as complex.
 
     Raises ValueError for non-finite entries, then NotHermitian / NotUnitTrace /
-    NotPositive with the measured deviation in the message, in that order.
+    NotPositive with the measured deviation in the message, in that order.  A
+    stack raises what checking its matrices one by one would raise first.
     """
     mat = np.asarray(rho, dtype=complex)
+    if mat.ndim == 2:
+        return _validate_matrix(mat)
+    if mat.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
+    if mat.size == 16:  # a stack of one: the single-matrix checks are cheaper
+        _validate_matrix(mat.reshape(4, 4))
+        return mat
+    # Whole-stack reductions; NaN fails every comparison, and eigvalsh runs only on finite input.
+    adjoint = mat.swapaxes(-1, -2).conj()
+    valid = np.abs(mat - adjoint).max(initial=0.0) <= HERMITICITY_ATOL
+    valid = valid and np.abs(mat.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0) <= TRACE_ATOL
+    if valid and mat.size:
+        valid = np.linalg.eigvalsh(0.5 * (mat + adjoint))[..., 0].min() >= -POSITIVITY_ATOL
+    if not valid:
+        for index in np.ndindex(mat.shape[:-2]):
+            _validate_matrix(mat[index])
+    return mat
+
+
+def _validate_matrix(mat: np.ndarray) -> np.ndarray:
+    """``validate_density`` for one complex matrix."""
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
     herm_dev = float(np.max(np.abs(mat - mat.conj().T)))

@@ -14,6 +14,7 @@ intermediate party, and link j is filtered with a left and a right strength.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, field
 
@@ -71,6 +72,19 @@ class NetworkFilterSpec:
         return cls(middle=((1.0, 1.0),) * (n_links - 1))
 
 
+def _rescale(links: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugate a ``(..., 4, 4)`` link or stack by F_L @ F_R, with ``(..., 2)`` strengths (left, right).
+
+    Returns the unnormalised states and their traces, the success probabilities.
+    """
+    # F_L @ F_R = diag(eps_l * eps_r, eps_l, eps_r, 1), so conjugation is an elementwise rescale.
+    diag = np.ones((*eps.shape[:-1], 4))
+    diag[..., 0] = eps[..., 0] * eps[..., 1]
+    diag[..., 1:3] = eps
+    scaled = links * (diag[..., :, None] * diag[..., None, :])
+    return scaled, scaled.trace(axis1=-2, axis2=-1).real
+
+
 def apply_link_filter(rho: np.ndarray, eps_left: float, eps_right: float) -> tuple[np.ndarray, float]:
     """Filter one link and post-select on joint success; returns the state and its success probability.
 
@@ -84,10 +98,8 @@ def apply_link_filter(rho: np.ndarray, eps_left: float, eps_right: float) -> tup
     eps_r = _check_eps("eps_right", eps_right)
     if eps_l == 1.0 and eps_r == 1.0:
         return rho, 1.0
-    # (F_L @ F_R) is diagonal, so conjugation is an elementwise rescale.
-    diag = np.array([eps_l * eps_r, eps_l, eps_r, 1.0])
-    scaled = np.asarray(rho, dtype=complex) * np.outer(diag, diag)
-    success = float(np.real(np.trace(scaled)))
+    scaled, success = _rescale(np.asarray(rho, dtype=complex), np.array([eps_l, eps_r]))
+    success = float(success)
     if success <= ANNIHILATION_ATOL:
         raise FilterAnnihilatesState(
             f"post-selection success probability {success:.3e} is at or below {ANNIHILATION_ATOL:.0e}"
@@ -99,8 +111,10 @@ def filter_network(states: np.ndarray | list[np.ndarray], spec: NetworkFilterSpe
     """Filter every link of a chain; returns the ``(n, 4, 4)`` filtered links and the overall success.
 
     Link j takes entries 2j and 2j+1 of (eps_first, *middle pairs, eps_last).  The
-    overall success probability is the product of the per-link traces.
-    Annihilation and positivity errors are re-raised with the 1-based link index.
+    overall success probability is the product of the per-link traces.  Links
+    with the identity filter pass unchanged; the others are filtered as one stack
+    and validated in one call.  Annihilation and positivity errors are re-raised
+    with the 1-based link index, for the first link that fails.
     """
     n_links = len(states)
     if n_links < 2:
@@ -109,19 +123,30 @@ def filter_network(states: np.ndarray | list[np.ndarray], spec: NetworkFilterSpe
         raise ValueError(
             f"expected {n_links - 1} intermediate filter pairs for {n_links} links, got {len(spec.middle)}"
         )
-    eps = (spec.eps_first, *itertools.chain.from_iterable(spec.middle), spec.eps_last)
-    filtered = []
+    eps = np.array((spec.eps_first, *itertools.chain.from_iterable(spec.middle), spec.eps_last)).reshape(n_links, 2)
+    filtered = np.array(states, dtype=complex)
+    successes = np.ones(n_links)
+    active = np.flatnonzero((eps != 1.0).any(axis=1))
+    scaled, success = _rescale(filtered[active], eps[active])
+    outputs = None
+    if (success > ANNIHILATION_ATOL).all():
+        with contextlib.suppress(ValueError):
+            outputs = validate_density(scaled / success[:, None, None])
+    if outputs is not None:
+        filtered[active], successes[active] = outputs, success
+    else:
+        # A link annihilated or failed validation: filter link by link, so the first failure raises as it would alone.
+        for index in active:
+            try:
+                filtered[index], successes[index] = apply_link_filter(filtered[index], *eps[index])
+            except FilterAnnihilatesState as exc:
+                raise FilterAnnihilatesState(f"link {index + 1}: {exc}") from None
+            except NotPositive as exc:
+                raise NotPositive(f"link {index + 1}: filtered state has {exc}") from None
     overall = 1.0
-    for index, rho in enumerate(states):
-        try:
-            state, success = apply_link_filter(rho, eps[2 * index], eps[2 * index + 1])
-        except FilterAnnihilatesState as exc:
-            raise FilterAnnihilatesState(f"link {index + 1}: {exc}") from None
-        except NotPositive as exc:
-            raise NotPositive(f"link {index + 1}: filtered state has {exc}") from None
-        filtered.append(state)
+    for success in successes.tolist():
         overall *= success
-    return np.stack(filtered), overall
+    return filtered, overall
 
 
 def filtered_bell_diagonal(

@@ -27,7 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import ID2, PAULIS, _bloch_form, bloch_decompose, canonical_frame, from_bloch, validate_density
+from .core import (
+    ID2,
+    PAULIS,
+    _bloch_form,
+    _validate_matrix,
+    bloch_decompose,
+    canonical_frame,
+    from_bloch,
+    validate_density,
+)
 from .filtering import (
     FilterAnnihilatesState,
     NetworkFilterSpec,
@@ -73,7 +82,15 @@ class NetworkSpec:
     filters: NetworkFilterSpec | None = None
 
     def __post_init__(self) -> None:
-        links = [validate_density(link) for link in self.links]
+        try:
+            links = np.array(self.links, dtype=complex)
+        except (ValueError, TypeError):
+            links = None
+        if links is None or links.shape[1:] != (4, 4):
+            # Not a stack of 4x4 matrices: check link by link, so the error names the first bad link's shape.
+            links = np.array([_validate_matrix(np.asarray(link, dtype=complex)) for link in self.links])
+        else:
+            validate_density(links)
         if len(links) < 2:
             raise ValueError(f"a chain needs at least 2 links, got {len(links)}")
         filters = self.filters
@@ -84,9 +101,8 @@ class NetworkSpec:
                 f"expected {len(links) - 1} intermediate filter pairs for {len(links)} links, "
                 f"got {len(filters.middle)}"
             )
-        stacked = np.stack(links)
-        stacked.flags.writeable = False
-        object.__setattr__(self, "links", stacked)
+        links.flags.writeable = False
+        object.__setattr__(self, "links", links)
         object.__setattr__(self, "filters", filters)
 
     @property

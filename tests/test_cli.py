@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import re
 
@@ -18,13 +19,14 @@ from qnetfilter import (
     b_lin,
     bit_flip,
     build_network,
+    build_states,
     evaluate,
     grud_state,
     matrix_to_pairs,
     pure_theta_state,
 )
 from qnetfilter.cli import _run_region, main
-from qnetfilter.config import config_with_values
+from qnetfilter.config import config_with_values, scan_axes
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -238,7 +240,7 @@ def _channel_config(**channel):
         (
             "scan",
             _two_axis_config("filters.middle.0.1", "filters.middle.00.1"),
-            "scan.axes.1.path 'filters.middle.00.1' names the same value as scan.axes.0.path",
+            "no such config path: filters.middle.00.1 ('00' is not an index)",
         ),
     ],
     ids=[
@@ -353,6 +355,61 @@ def test_scan_rows_are_row_major(tmp_path, capsys):
         ["0.2", "0.3"],
         ["0.2", "0.4"],
     ]
+
+
+def _reference_scan_csv(cfg):
+    """The scan CSV with every grid point built anew."""
+    axes = scan_axes(cfg)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([*(axis.path for axis in axes), "b_lin", "b_seq", "success_prob", "violation"])
+    for point in itertools.product(*[axis.values for axis in axes]):
+        values = [float(v) for v in point]
+        result = evaluate(build_network(config_with_values(cfg, dict(zip((a.path for a in axes), values)))))
+        numbers = (*values, result.b_lin, result.b_seq, result.success_prob)
+        writer.writerow([*(f"{v:.12g}" for v in numbers), "1" if result.violation else "0"])
+    return out.getvalue()
+
+
+def _noisy_scan_config(*paths):
+    cfg = _example_config()
+    cfg["channels"] = [{"link": 2, "type": "bit_flip", "param": 0.0}]
+    grids = {
+        "channels.0.param": (0.0, 0.3),
+        "filters.middle.0.0": (0.3, 1.0),
+        "filters.middle.0.1": (0.4, 1.0),
+        "links.0.v": (0.0, 0.4),
+    }
+    cfg["scan"] = {"axes": [{"path": p, "min": grids[p][0], "max": grids[p][1], "steps": 3} for p in paths]}
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "paths, states_built",
+    [
+        (("filters.middle.0.0", "filters.middle.0.1"), 1),
+        (("channels.0.param", "filters.middle.0.0"), 3),
+        (("filters.middle.0.0", "channels.0.param"), 9),
+        (("links.0.v", "filters.middle.0.1"), 3),
+    ],
+    ids=["filters-only", "noise-outer", "noise-inner", "link-axis"],
+)
+def test_scan_rebuilds_link_states_only_when_an_axis_changes_them(
+    tmp_path, capsys, monkeypatch, paths, states_built
+):
+    cfg = _noisy_scan_config(*paths)
+    expected = _reference_scan_csv(cfg)
+    calls = []
+
+    def counted(point):
+        calls.append(point)
+        return build_states(point)
+
+    monkeypatch.setattr("qnetfilter.config.build_states", counted)
+    code, out, err = _run(capsys, "scan", "--config", _write(tmp_path, cfg))
+    assert (code, err) == (0, "")
+    assert out == expected
+    assert len(calls) == states_built
 
 
 def test_scan_output_is_deterministic_across_thread_counts(tmp_path, capsys, monkeypatch):
@@ -610,6 +667,20 @@ def test_optimize_rejects_a_free_path_that_is_not_a_number(tmp_path, capsys, mon
     assert "Traceback" not in err
 
 
+def test_optimize_rejects_a_repeated_free_path(tmp_path, capsys, monkeypatch):
+    def no_search(*_args):
+        raise AssertionError("the optimisation ran before the free paths were checked")
+
+    monkeypatch.setattr("qnetfilter.cli.nelder_mead", no_search)
+    code, out, err = _run(
+        capsys, "optimize", "--config", _write(tmp_path, _example_config()),
+        "--free", "filters.middle.0.1,filters.middle.0.0,filters.middle.0.0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "config error: --free path 3 ('filters.middle.0.0') names the same value as --free path 2\n"
+
+
 def test_optimize_cannot_push_product_link_past_one(tmp_path, capsys):
     cfg = {
         "links": [
@@ -626,6 +697,45 @@ def test_optimize_cannot_push_product_link_past_one(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["seed"] == 5
     assert payload["best"]["b_seq"] <= 1.0 + 1e-9
+
+
+# The whole stdout of optimize over the example's intermediate pair, recorded while every
+# evaluation still rebuilt the link states.  The optimum sits at the eps -> 0 edge.
+OPTIMIZE_EXAMPLE_STDOUT = """{
+  "seed": 0,
+  "free": [
+    "filters.middle.0.0",
+    "filters.middle.0.1"
+  ],
+  "argmax": {
+    "filters.middle.0.0": 0.0,
+    "filters.middle.0.1": 0.0
+  },
+  "best": {
+    "b_lin": 0.8871750180185799,
+    "b_seq": 0.9999999999999999,
+    "success_prob": 0.00038289998837851035,
+    "violation": false
+  }
+}
+"""
+
+
+def test_optimize_stdout_is_unchanged_by_state_reuse(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(point):
+        calls.append(point)
+        return build_states(point)
+
+    monkeypatch.setattr("qnetfilter.config.build_states", counted)
+    code, out, err = _run(
+        capsys, "optimize", "--config", _write(tmp_path, _example_config()),
+        "--free", "filters.middle.0.0,filters.middle.0.1",
+    )
+    assert (code, err) == (0, "")
+    assert out == OPTIMIZE_EXAMPLE_STDOUT
+    assert len(calls) == 1  # the free paths are all filters
 
 
 def test_optimize_recovers_reference_violation(tmp_path, capsys):

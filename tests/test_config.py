@@ -106,6 +106,25 @@ class TestDottedPaths:
         with pytest.raises(ConfigError, match="not an index"):
             get_path(base_config(), "links.first.v")
 
+    @pytest.mark.parametrize("part", ["00", "01", "+1", "-1", " 1", "1 ", "1_0", "١", "²", "0x1", ""])
+    def test_only_the_canonical_index_spelling_resolves(self, part) -> None:
+        cfg = base_config()
+        cfg["links"] = cfg["links"] * 6  # index 10 exists, so "1_0" cannot resolve by accident
+        for walk in (
+            lambda: get_path(cfg, f"links.{part}.v"),
+            lambda: set_path(cfg, f"links.{part}.v", 1.0),
+            lambda: config_with_values(cfg, {f"links.{part}.v": 1.0}),
+        ):
+            with pytest.raises(ConfigError, match=re.escape(f"({part!r} is not an index)")):
+                walk()
+
+    def test_canonical_indices_resolve(self) -> None:
+        cfg = base_config()
+        cfg["links"] = cfg["links"] * 6
+        cfg["links"][10] = {"family": "werner", "p": 0.5}
+        assert get_path(cfg, "links.0.v") == 0.1
+        assert get_path(cfg, "links.10.p") == 0.5
+
     def test_index_out_of_range(self) -> None:
         with pytest.raises(ConfigError, match="out of range"):
             get_path(base_config(), "links.5.v")

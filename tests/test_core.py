@@ -93,6 +93,80 @@ class TestValidateDensity:
         validate_density(mat)
 
 
+def _non_hermitian() -> np.ndarray:
+    mat = np.eye(4, dtype=complex) / 4.0
+    mat[0, 1] = 0.3
+    return mat
+
+
+def _non_finite() -> np.ndarray:
+    mat = np.eye(4, dtype=complex) / 4.0
+    mat[2, 3] = np.nan
+    return mat
+
+
+def _fails_every_check_but_finiteness() -> np.ndarray:
+    mat = 2.0 * NOT_POSITIVE.astype(complex)
+    mat[0, 1] = 0.3
+    return mat
+
+
+# Each fails a different first check of the single-matrix order: finite, Hermitian, trace, positivity.
+FAILING = {
+    "non-finite": _non_finite(),
+    "non-hermitian": _non_hermitian(),
+    "wrong-trace": np.eye(4, dtype=complex) / 2.0,
+    "non-positive": NOT_POSITIVE.astype(complex),
+    "hermitian-first": _fails_every_check_but_finiteness(),
+}
+
+
+class TestValidateStack:
+    """A stack raises what checking its matrices one by one would raise first."""
+
+    @pytest.mark.parametrize("later", sorted(FAILING))
+    @pytest.mark.parametrize("first", sorted(FAILING))
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_raises_the_first_failing_matrix_error(self, index, first, later) -> None:
+        rng = np.random.default_rng(17)
+        stack = np.array([random_density(rng) for _ in range(4)])
+        stack[index] = FAILING[first]
+        stack[index + 1] = FAILING[later]
+        with pytest.raises(ValueError) as single:
+            validate_density(stack[index])
+        with pytest.raises(ValueError) as stacked:
+            validate_density(stack)
+        assert type(stacked.value) is type(single.value)
+        assert str(stacked.value) == str(single.value)
+
+    def test_failure_in_a_deeper_stack(self) -> None:
+        rng = np.random.default_rng(19)
+        stack = np.array([random_density(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        stack[1, 0] = NOT_POSITIVE
+        stack[1, 2] = _non_hermitian()
+        with pytest.raises(NotPositive, match="minimum eigenvalue -5.000e-01"):
+            validate_density(stack)
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 3)])
+    def test_passing_stack_comes_back_unchanged(self, shape) -> None:
+        rng = np.random.default_rng(23)
+        stack = np.array([random_density(rng) for _ in range(int(np.prod(shape)))]).reshape(*shape, 4, 4)
+        original = stack.copy()
+        assert validate_density(stack) is stack
+        assert np.array_equal(stack, original)
+
+    def test_real_stack_is_returned_as_complex(self) -> None:
+        out = validate_density(np.stack([np.eye(4) / 4.0, np.diag([1.0, 0.0, 0.0, 0.0])]))
+        assert out.dtype == complex and out.shape == (2, 4, 4)
+
+    def test_empty_stack_passes(self) -> None:
+        assert validate_density(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+    def test_rejects_a_stack_of_wrong_shape(self) -> None:
+        with pytest.raises(ValueError, match=r"expected a 4x4 matrix, got shape \(2, 3, 3\)"):
+            validate_density(np.zeros((2, 3, 3)))
+
+
 class TestBlochDecompose:
     """Known decompositions and the reconstruction roundtrip."""
 

@@ -8,12 +8,20 @@ import pytest
 from qnetfilter import (
     FilterAnnihilatesState,
     NetworkFilterSpec,
+    NotPositive,
     apply_link_filter,
     filter_network,
     filtered_bell_diagonal,
     bloch_decompose,
     from_bloch,
+    validate_density,
 )
+
+
+# Valid within tolerance with an eigenvalue of -9e-10, which a strong filter amplifies past it.
+BARELY_VALID = np.diag([0.5, 0.25, 0.25 + 9e-10, -9e-10]).astype(complex)
+# |00><00|: a 0 filter on either qubit leaves nothing to post-select.
+GROUND = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 
 
 def random_density(rng: np.random.Generator) -> np.ndarray:
@@ -152,6 +160,62 @@ class TestFilterNetwork:
         spec = NetworkFilterSpec(eps_first=1.0, eps_last=0.0, middle=((1.0, 0.0),))
         with pytest.raises(FilterAnnihilatesState, match="link 2:"):
             filter_network(states, spec)
+
+    @pytest.mark.parametrize(
+        "states, spec, error, message",
+        [
+            (
+                (BARELY_VALID, GROUND),
+                NetworkFilterSpec(eps_first=1e-4, eps_last=1.0, middle=((1.0, 0.0),)),
+                NotPositive,
+                "link 1: filtered state has minimum eigenvalue -3.600e-09 below -1e-09",
+            ),
+            (
+                (GROUND, BARELY_VALID),
+                NetworkFilterSpec(eps_first=0.0, eps_last=1.0, middle=((1.0, 1e-4),)),
+                FilterAnnihilatesState,
+                "link 1: post-selection success probability 0.000e+00 is at or below 1e-12",
+            ),
+            (
+                (BARELY_VALID, GROUND, BARELY_VALID),
+                NetworkFilterSpec(eps_first=1.0, eps_last=1e-4, middle=((1.0, 0.0), (1.0, 1.0))),
+                FilterAnnihilatesState,
+                "link 2: post-selection success probability 0.000e+00 is at or below 1e-12",
+            ),
+        ],
+        ids=["not-positive-then-annihilated", "annihilated-then-not-positive", "identity-link-first"],
+    )
+    def test_the_first_failing_link_is_reported(self, states, spec, error, message) -> None:
+        # Link by link, as each link would fail alone: positivity of link k before annihilation
+        # of link k+1, and annihilation of link k before positivity of link k+1.
+        with pytest.raises(ValueError) as caught:
+            filter_network(states, spec)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_filtered_links_are_validated_in_one_call(self, monkeypatch) -> None:
+        calls = []
+
+        def counted(rho):
+            calls.append(np.shape(rho))
+            return validate_density(rho)
+
+        monkeypatch.setattr("qnetfilter.filtering.validate_density", counted)
+        rng = np.random.default_rng(73)
+        states = [random_density(rng) for _ in range(4)]
+        spec = NetworkFilterSpec(eps_first=0.7, eps_last=0.9, middle=((0.5, 1.0), (1.0, 1.0), (0.8, 0.95)))
+        filter_network(states, spec)
+        assert calls == [(3, 4, 4)]
+
+    def test_identity_links_pass_unchanged_among_filtered_ones(self) -> None:
+        rng = np.random.default_rng(61)
+        states = np.array([random_density(rng) for _ in range(3)])
+        spec = NetworkFilterSpec(eps_first=1.0, eps_last=0.6, middle=((1.0, 1.0), (1.0, 0.9)))
+        filtered, overall = filter_network(states, spec)
+        assert np.array_equal(filtered[:2], states[:2])
+        state, success = apply_link_filter(states[2], 0.9, 0.6)
+        assert np.array_equal(filtered[2], state)
+        assert overall == 1.0 * 1.0 * success
 
 
 class TestFilteredBellDiagonal:

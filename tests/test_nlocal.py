@@ -29,6 +29,7 @@ from qnetfilter import (
     maximize_lhs,
     product_state,
     pure_theta_state,
+    validate_density,
     werner_state,
     x_state,
 )
@@ -81,6 +82,25 @@ class TestSpecTypes:
     def test_network_validates_its_links(self) -> None:
         with pytest.raises(NotPositive, match="minimum eigenvalue"):
             NetworkSpec(links=(SINGLET, NOT_POSITIVE))
+
+    def test_network_names_the_first_bad_link(self) -> None:
+        with pytest.raises(ValueError, match=r"expected a 4x4 matrix, got shape \(3, 3\)"):
+            NetworkSpec(links=(SINGLET, np.eye(3) / 3.0, NOT_POSITIVE))
+        with pytest.raises(NotPositive, match="minimum eigenvalue"):
+            NetworkSpec(links=(SINGLET, NOT_POSITIVE, np.eye(3) / 3.0))
+        with pytest.raises(ValueError, match=r"expected a 4x4 matrix, got shape \(1, 4, 4\)"):
+            NetworkSpec(links=(SINGLET[None], SINGLET[None]))
+
+    def test_network_validates_its_links_in_one_call(self, monkeypatch) -> None:
+        calls = []
+
+        def counted(rho):
+            calls.append(np.shape(rho))
+            return validate_density(rho)
+
+        monkeypatch.setattr("qnetfilter.nlocal.validate_density", counted)
+        NetworkSpec(links=[SINGLET, np.eye(4) / 4.0, SINGLET])
+        assert calls == [(3, 4, 4)]
 
     def test_network_needs_two_links(self) -> None:
         with pytest.raises(ValueError, match="at least 2 links"):
