@@ -42,14 +42,14 @@ from .config import (
     network_factory,
     scan_axes,
 )
-from .core import NotHermitian, NotPositive
+from .core import NotHermitian, NotPositive, _bloch_form
 from .filtering import FilterAnnihilatesState, NetworkFilterSpec
 from .nlocal import (
     DimensionTooLarge,
     EvalResult,
     MeasurementSettings,
     NetworkSpec,
-    b_lin,
+    _bound,
     b_seq,
     born_oracle,
     conjecture_search,
@@ -144,7 +144,7 @@ def _threshold(cfg: dict, path: str, lo: float, hi: float, target: str) -> float
 
     def objective(value: float) -> float:
         spec = build((float(value),))
-        bound = b_lin(spec.links) if target == "b_lin" else b_seq(spec)[0]
+        bound = _bound(_bloch_form(spec.links).W) if target == "b_lin" else b_seq(spec)[0]
         return bound - 1.0
 
     f_lo, f_hi = objective(lo), objective(hi)
@@ -171,10 +171,18 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed(args: argparse.Namespace, cfg: dict) -> int:
+    """The ``--seed`` value if given, else the config's seed; a negative one is a config error."""
+    name, seed = ("--seed", args.seed) if args.seed is not None else ("seed", config_seed(cfg))
+    if seed < 0:
+        raise ConfigError(f"{name} must be non-negative, got {seed}")
+    return seed
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     free = [token.strip() for token in args.free.split(",") if token.strip()]
-    seed = args.seed if args.seed is not None else config_seed(cfg)
+    seed = _seed(args, cfg)
     start = []
     seen: dict[tuple[str | int, ...], int] = {}
     for position, path in enumerate(free):
@@ -226,7 +234,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     spec = build_network(cfg)
     settings = build_settings(cfg)
-    seed = args.seed if args.seed is not None else config_seed(cfg)
+    seed = _seed(args, cfg)
     used_random = settings is None
     if settings is None:
         settings = _random_settings(np.random.default_rng(seed))

@@ -49,13 +49,14 @@ __all__ = [
 
 _TOP_LEVEL_KEYS = {"n", "links", "channels", "filters", "settings", "scan", "seed"}
 
-_FAMILY_PARAMS = {
-    "grud": ("v", "x"),
-    "werner": ("p",),
-    "x": ("x1", "x2", "x3", "x4"),
-    "pure_theta": ("theta",),
-    "product": ("m", "n"),
-    "explicit": ("matrix",),
+# Each link family's constructor and its parameters, in the order the constructor takes them.
+_FAMILIES = {
+    "grud": (grud_state, ("v", "x")),
+    "werner": (werner_state, ("p",)),
+    "x": (x_state, ("x1", "x2", "x3", "x4")),
+    "pure_theta": (pure_theta_state, ("theta",)),
+    "product": (product_state, ("m", "n")),
+    "explicit": (lambda matrix: validate_density(matrix_from_pairs(matrix)), ("matrix",)),
 }
 
 _CHANNEL_TYPES = {"bit_flip": bit_flip, "amplitude_damping": amplitude_damping}
@@ -176,9 +177,9 @@ def _build_link(index: int, entry: object) -> np.ndarray:
     family = entry.get("family")
     if family is None:
         raise ConfigError(f"links.{index}.family is required")
-    if not isinstance(family, str) or family not in _FAMILY_PARAMS:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ConfigError(f"links.{index}.family: unknown family {family!r}")
-    params = _FAMILY_PARAMS[family]
+    constructor, params = _FAMILIES[family]
     for key in entry:
         if key != "family" and key not in params:
             raise ConfigError(f"links.{index}.{key}: unknown parameter for family {family!r}")
@@ -189,17 +190,7 @@ def _build_link(index: int, entry: object) -> np.ndarray:
     for key in params:
         check(entry[key], f"links.{index}.{key}")
     try:
-        if family == "grud":
-            return grud_state(entry["v"], entry["x"])
-        if family == "werner":
-            return werner_state(entry["p"])
-        if family == "x":
-            return x_state(entry["x1"], entry["x2"], entry["x3"], entry["x4"])
-        if family == "pure_theta":
-            return pure_theta_state(entry["theta"])
-        if family == "product":
-            return product_state(np.asarray(entry["m"], dtype=float), np.asarray(entry["n"], dtype=float))
-        return validate_density(matrix_from_pairs(entry["matrix"]))
+        return constructor(*(entry[key] for key in params))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"links.{index}: {exc}") from None
 

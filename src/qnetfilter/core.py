@@ -176,11 +176,19 @@ def correlation_singular_values(rho: np.ndarray) -> np.ndarray:
     return np.linalg.svd(bloch_decompose(rho).W, compute_uv=False)
 
 
+def _quaternion_unitary(quat) -> np.ndarray:
+    """The SU(2) element qw I - i (qx sigma_x + qy sigma_y + qz sigma_z) of a unit quaternion (qw, qx, qy, qz)."""
+    return quat[0] * ID2 - 1.0j * (quat[1] * SIGMA_X + quat[2] * SIGMA_Y + quat[3] * SIGMA_Z)
+
+
 def rotation_to_unitary(rotation: np.ndarray) -> np.ndarray:
     """SU(2) element u with u (v.sigma) u+ = (R v).sigma for R in SO(3).
 
-    Uses the quaternion extraction that branches on the largest of the four
-    squared components, so it is stable for every rotation angle.
+    Reads the quaternion q = (qw, qx, qy, qz) of R off the symmetric table
+    K[i, k] = 4 q_i q_k, whose diagonal is (1 + tr R, 1 + 2 R_ii - tr R) and
+    whose other entries are sums and differences of R_ij and R_ji.  Column k of
+    the largest diagonal entry gives q_k = sqrt(K[k, k]) / 2 and the other
+    components as K[i, k] / (4 q_k), which is stable for every rotation angle.
     """
     rot = np.asarray(rotation, dtype=float)
     if rot.shape != (3, 3):
@@ -188,34 +196,15 @@ def rotation_to_unitary(rotation: np.ndarray) -> np.ndarray:
     if np.max(np.abs(rot.T @ rot - np.eye(3))) > 1e-9 or np.linalg.det(rot) < 0.0:
         raise ValueError("matrix is not a proper rotation")
     t = float(np.trace(rot))
-    candidates = (
-        1.0 + t,
-        1.0 + 2.0 * rot[0, 0] - t,
-        1.0 + 2.0 * rot[1, 1] - t,
-        1.0 + 2.0 * rot[2, 2] - t,
-    )
-    case = int(np.argmax(candidates))
-    if case == 0:
-        qw = 0.5 * np.sqrt(candidates[0])
-        qx = (rot[2, 1] - rot[1, 2]) / (4.0 * qw)
-        qy = (rot[0, 2] - rot[2, 0]) / (4.0 * qw)
-        qz = (rot[1, 0] - rot[0, 1]) / (4.0 * qw)
-    elif case == 1:
-        qx = 0.5 * np.sqrt(candidates[1])
-        qw = (rot[2, 1] - rot[1, 2]) / (4.0 * qx)
-        qy = (rot[0, 1] + rot[1, 0]) / (4.0 * qx)
-        qz = (rot[0, 2] + rot[2, 0]) / (4.0 * qx)
-    elif case == 2:
-        qy = 0.5 * np.sqrt(candidates[2])
-        qw = (rot[0, 2] - rot[2, 0]) / (4.0 * qy)
-        qx = (rot[0, 1] + rot[1, 0]) / (4.0 * qy)
-        qz = (rot[1, 2] + rot[2, 1]) / (4.0 * qy)
-    else:
-        qz = 0.5 * np.sqrt(candidates[3])
-        qw = (rot[1, 0] - rot[0, 1]) / (4.0 * qz)
-        qx = (rot[0, 2] + rot[2, 0]) / (4.0 * qz)
-        qy = (rot[1, 2] + rot[2, 1]) / (4.0 * qz)
-    return qw * ID2 - 1.0j * (qx * SIGMA_X + qy * SIGMA_Y + qz * SIGMA_Z)
+    table = np.empty((4, 4))
+    table[1:, 1:] = rot + rot.T
+    table[0, 1:] = table[1:, 0] = (rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1])
+    np.fill_diagonal(table, (1.0 + t, *(1.0 + 2.0 * np.diag(rot) - t)))
+    k = int(np.argmax(np.diag(table)))
+    q_k = 0.5 * np.sqrt(table[k, k])
+    quat = table[:, k] / (4.0 * q_k)
+    quat[k] = q_k
+    return _quaternion_unitary(quat)
 
 
 _CYCLIC = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])

@@ -72,6 +72,25 @@ class NetworkFilterSpec:
         return cls(middle=((1.0, 1.0),) * (n_links - 1))
 
 
+def _check_chain(n_links: int, spec: NetworkFilterSpec) -> None:
+    """Raise ValueError unless the chain has at least 2 links and ``spec`` one middle pair per intermediate party."""
+    if n_links < 2:
+        raise ValueError(f"a chain needs at least 2 links, got {n_links}")
+    if len(spec.middle) != n_links - 1:
+        raise ValueError(
+            f"expected {n_links - 1} intermediate filter pairs for {n_links} links, got {len(spec.middle)}"
+        )
+
+
+def _check_success(success: float) -> float:
+    """Return a post-selection success probability; FilterAnnihilatesState if it is at or below ANNIHILATION_ATOL."""
+    if success <= ANNIHILATION_ATOL:
+        raise FilterAnnihilatesState(
+            f"post-selection success probability {success:.3e} is at or below {ANNIHILATION_ATOL:.0e}"
+        )
+    return success
+
+
 def _rescale(links: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conjugate a ``(..., 4, 4)`` link or stack by F_L @ F_R, with ``(..., 2)`` strengths (left, right).
 
@@ -99,11 +118,7 @@ def apply_link_filter(rho: np.ndarray, eps_left: float, eps_right: float) -> tup
     if eps_l == 1.0 and eps_r == 1.0:
         return rho, 1.0
     scaled, success = _rescale(np.asarray(rho, dtype=complex), np.array([eps_l, eps_r]))
-    success = float(success)
-    if success <= ANNIHILATION_ATOL:
-        raise FilterAnnihilatesState(
-            f"post-selection success probability {success:.3e} is at or below {ANNIHILATION_ATOL:.0e}"
-        )
+    success = _check_success(float(success))
     return validate_density(scaled / success), success
 
 
@@ -117,12 +132,7 @@ def filter_network(states: np.ndarray | list[np.ndarray], spec: NetworkFilterSpe
     with the 1-based link index, for the first link that fails.
     """
     n_links = len(states)
-    if n_links < 2:
-        raise ValueError(f"a chain needs at least 2 links, got {n_links}")
-    if len(spec.middle) != n_links - 1:
-        raise ValueError(
-            f"expected {n_links - 1} intermediate filter pairs for {n_links} links, got {len(spec.middle)}"
-        )
+    _check_chain(n_links, spec)
     eps = np.array((spec.eps_first, *itertools.chain.from_iterable(spec.middle), spec.eps_last)).reshape(n_links, 2)
     filtered = np.array(states, dtype=complex)
     successes = np.ones(n_links)
@@ -175,11 +185,7 @@ def filtered_bell_diagonal(
     grow_l = 1.0 + eps_l * eps_l
     grow_r = 1.0 + eps_r * eps_r
     c1 = w[2] * shrink_l * shrink_r + grow_l * grow_r
-    success = c1 / 4.0
-    if success <= ANNIHILATION_ATOL:
-        raise FilterAnnihilatesState(
-            f"post-selection success probability {success:.3e} is at or below {ANNIHILATION_ATOL:.0e}"
-        )
+    success = _check_success(c1 / 4.0)
     filtered = np.array(
         [
             4.0 * eps_l * eps_r * w[0] / c1,

@@ -31,6 +31,7 @@ from .core import (
     ID2,
     PAULIS,
     _bloch_form,
+    _quaternion_unitary,
     _validate_matrix,
     bloch_decompose,
     canonical_frame,
@@ -40,6 +41,7 @@ from .core import (
 from .filtering import (
     FilterAnnihilatesState,
     NetworkFilterSpec,
+    _check_chain,
     apply_link_filter,
     filter_network,
     filtered_bell_diagonal,
@@ -64,6 +66,7 @@ __all__ = [
 ]
 
 UNIT_ATOL = 1e-10
+ORACLE_MAX_LINKS = 6  # the longest chain the Born-rule oracle enumerates
 
 
 class DimensionTooLarge(ValueError):
@@ -91,16 +94,8 @@ class NetworkSpec:
             links = np.array([_validate_matrix(np.asarray(link, dtype=complex)) for link in self.links])
         else:
             validate_density(links)
-        if len(links) < 2:
-            raise ValueError(f"a chain needs at least 2 links, got {len(links)}")
-        filters = self.filters
-        if filters is None:
-            filters = NetworkFilterSpec.identity(len(links))
-        if len(filters.middle) != len(links) - 1:
-            raise ValueError(
-                f"expected {len(links) - 1} intermediate filter pairs for {len(links)} links, "
-                f"got {len(filters.middle)}"
-            )
+        filters = NetworkFilterSpec.identity(len(links)) if self.filters is None else self.filters
+        _check_chain(len(links), filters)
         links.flags.writeable = False
         object.__setattr__(self, "links", links)
         object.__setattr__(self, "filters", filters)
@@ -325,9 +320,9 @@ def _spin_projectors(direction: np.ndarray) -> np.ndarray:
 
 
 def _link_tensors(spec: NetworkSpec) -> np.ndarray:
-    """The filtered links as ``rho[k, a, b, a', b']`` over each link's two qubits; at most 3 links."""
-    if spec.n > 3:
-        raise DimensionTooLarge(f"Born-rule enumeration supports at most 3 links, got n = {spec.n}")
+    """The filtered links as ``rho[k, a, b, a', b']`` over each link's two qubits; at most 6 links."""
+    if spec.n > ORACLE_MAX_LINKS:
+        raise DimensionTooLarge(f"Born-rule enumeration supports at most {ORACLE_MAX_LINKS} links, got n = {spec.n}")
     filtered, _ = filter_network(spec.links, spec.filters)
     return filtered.reshape(-1, 2, 2, 2, 2)
 
@@ -353,7 +348,7 @@ def born_distribution(
     """Joint outcome distribution for one choice of end settings.
 
     Keys are (o_first, bell_2, ..., bell_n, o_last) with bell outcomes in
-    0..3 indexed per BELL_BITS.  Only chains with at most 3 links are
+    0..3 indexed per BELL_BITS.  Only chains with at most 6 links are
     enumerated (the number of outcomes grows as 4^n).
     """
     links = _link_tensors(spec)
@@ -440,11 +435,9 @@ def _random_bell_diagonal(rng: np.random.Generator) -> np.ndarray:
 
 
 def _random_local_unitary(rng: np.random.Generator) -> np.ndarray:
-    from .core import SIGMA_X, SIGMA_Y, SIGMA_Z
-
     quat = rng.normal(size=4)
     quat /= np.linalg.norm(quat)
-    return quat[0] * ID2 - 1.0j * (quat[1] * SIGMA_X + quat[2] * SIGMA_Y + quat[3] * SIGMA_Z)
+    return _quaternion_unitary(quat)
 
 
 def conjecture_search(trials: int, seed: int = 0) -> ConjectureReport:

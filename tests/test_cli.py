@@ -242,6 +242,10 @@ def _channel_config(**channel):
             _two_axis_config("filters.middle.0.1", "filters.middle.00.1"),
             "no such config path: filters.middle.00.1 ('00' is not an index)",
         ),
+        ("oracle", dict(_example_config(), seed=-3), "seed must be non-negative, got -3"),
+        ("optimize --free filters.middle.0.0", dict(_example_config(), seed=-3), "seed must be non-negative, got -3"),
+        ("oracle --seed -1", _example_config(), "--seed must be non-negative, got -1"),
+        ("optimize --free= --seed -1", _example_config(), "--seed must be non-negative, got -1"),
     ],
     ids=[
         "scan-min-string", "threshold-min-string", "scan-max-null", "threshold-min-null",
@@ -251,10 +255,13 @@ def _channel_config(**channel):
         "eval-first-string", "eval-middle-true", "eval-first-huge", "oracle-settings-huge", "scan-max-huge",
         "eval-family-array", "oracle-family-object", "eval-type-object", "eval-type-array", "eval-n-float",
         "eval-explicit-true", "eval-explicit-string", "scan-repeated-path", "scan-repeated-index-spelling",
+        "oracle-seed-negative", "optimize-seed-negative", "oracle-flag-seed-negative",
+        "optimize-no-free-flag-seed-negative",
     ],
 )
 def test_malformed_field_is_a_config_error(tmp_path, capsys, command, cfg, message):
-    argv = [command, "--config", _write(tmp_path, cfg)]
+    # ``command`` is the subcommand followed by any arguments besides --config.
+    argv = [*command.split(), "--config", _write(tmp_path, cfg)]
     if command == "threshold":
         argv += ["--axis", "links.0.v", "--target", "b_lin"]
     code, out, err = _run(capsys, *argv)
@@ -412,17 +419,14 @@ def test_scan_rebuilds_link_states_only_when_an_axis_changes_them(
     assert len(calls) == states_built
 
 
-def test_scan_output_is_deterministic_across_thread_counts(tmp_path, capsys, monkeypatch):
+def test_scan_output_is_deterministic(tmp_path, capsys):
     cfg = _example_config()
     cfg["scan"] = {"axes": [{"path": "links.0.v", "min": 0.0, "max": 1.0, "steps": 7}]}
     path = _write(tmp_path, cfg)
 
-    monkeypatch.setenv("NETFILTER_THREADS", "1")
-    _, serial, _ = _run(capsys, "scan", "--config", path)
+    _, first, _ = _run(capsys, "scan", "--config", path)
     _, again, _ = _run(capsys, "scan", "--config", path)
-    monkeypatch.setenv("NETFILTER_THREADS", "2")
-    _, threaded, _ = _run(capsys, "scan", "--config", path)
-    assert serial == again == threaded
+    assert first == again
 
 
 def test_scan_out_file_matches_stdout(tmp_path, capsys):
@@ -779,14 +783,22 @@ def test_oracle_with_random_settings_reports_seed(tmp_path, capsys):
     assert payload["seed"] == 11
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_oracle_checks_chains_of_up_to_six_links(tmp_path, capsys, n):
+    cfg = {"links": [{"family": "werner", "p": 0.9}] * n, "seed": n}
+    code, out, err = _run(capsys, "oracle", "--config", _write(tmp_path, cfg))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["agrees"] is True
+
+
 def test_oracle_refuses_long_chains(tmp_path, capsys):
     cfg = {
-        "links": [{"family": "werner", "p": 0.9}] * 4,
+        "links": [{"family": "werner", "p": 0.9}] * 7,
         "settings": SETTINGS,
     }
     code, _, err = _run(capsys, "oracle", "--config", _write(tmp_path, cfg))
     assert code == 2
-    assert "at most 3" in err
+    assert "at most 6" in err
 
 
 # ---------------------------------------------------------------------------

@@ -405,7 +405,7 @@ def dense_born_reference(spec: NetworkSpec, settings: MeasurementSettings):
         for outcome in itertools.product((0, 1), *[range(4)] * (spec.n - 1), (0, 1)):
             factors = [np.outer(DENSE_BELL[m], DENSE_BELL[m]) for m in outcome[1:-1]]
             operator = functools.reduce(np.kron, [first[outcome[0]], *factors, last[outcome[-1]]])
-            distribution[outcome] = float(np.real(np.trace(joint @ operator)))
+            distribution[outcome] = float(np.einsum("ij,ji->", joint, operator).real)
         for outcome, prob in distribution.items():
             ends = outcome[0] + outcome[-1]
             i_value += (-1.0) ** (ends + sum(DENSE_PARITY_BITS[m][0] for m in outcome[1:-1])) * prob / 4.0
@@ -429,7 +429,7 @@ class TestBornOracle:
                     assert min(dist.values()) >= -1e-12
                     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_the_dense_enumeration(self, n) -> None:
         rng = np.random.default_rng(137 + n)
         for _ in range(4):
@@ -451,9 +451,26 @@ class TestBornOracle:
             assert abs(oracle.i_value - i_value) <= 1e-15
             assert abs(oracle.j_value - j_value) <= 1e-15
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_matches_the_closed_form_on_long_chains(self, n) -> None:
+        rng = np.random.default_rng(149 + n)
+        for _ in range(3):
+            spec = NetworkSpec(
+                links=tuple(random_density(rng) for _ in range(n)),
+                filters=NetworkFilterSpec(
+                    eps_first=rng.uniform(0.2, 1.0),
+                    eps_last=rng.uniform(0.2, 1.0),
+                    middle=tuple(tuple(rng.uniform(0.2, 1.0, size=2)) for _ in range(n - 1)),
+                ),
+            )
+            settings = random_settings(rng)
+            oracle = born_oracle(spec, settings)
+            assert abs(oracle.lhs - lhs_at_settings(spec, settings)) <= 1e-10
+            assert oracle.max_distribution_dev <= 1e-10
+
     def test_rejects_long_chains(self) -> None:
-        spec = NetworkSpec(links=(SINGLET,) * 4)
-        with pytest.raises(DimensionTooLarge, match="at most 3 links"):
+        spec = NetworkSpec(links=(SINGLET,) * 7)
+        with pytest.raises(DimensionTooLarge, match="at most 6 links"):
             born_distribution(spec, OPTIMAL_SINGLET_SETTINGS, 0, 0)
 
     def test_rejects_bad_setting_choice(self) -> None:
