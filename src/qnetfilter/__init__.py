@@ -55,7 +55,6 @@ from .config import (
     get_path,
     load_config,
     scan_axes,
-    set_path,
 )
 
 __version__ = "0.1.0"

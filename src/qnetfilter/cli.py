@@ -59,7 +59,7 @@ from .nlocal import (
 )
 from .states import product_state
 
-__all__ = ["main", "NoCrossing", "UnknownExample"]
+__all__ = ["main", "NoCrossing"]
 
 ORACLE_ATOL = 1e-10
 BOUND_SLACK = 1e-9
@@ -67,10 +67,6 @@ BOUND_SLACK = 1e-9
 
 class NoCrossing(ValueError):
     """The requested bound does not cross 1 inside the scan range."""
-
-
-class UnknownExample(ValueError):
-    """Unknown reproduction id."""
 
 
 def _fmt(value: float) -> str:
@@ -478,7 +474,7 @@ _REPRODUCTIONS = {
 def cmd_reproduce(args: argparse.Namespace) -> int:
     if args.id not in _REPRODUCTIONS:
         known = ", ".join(sorted(_REPRODUCTIONS))
-        raise UnknownExample(f"unknown reproduction id {args.id!r}; known ids: {known}")
+        raise ConfigError(f"unknown reproduction id {args.id!r}; known ids: {known}")
     print(f"# reproduce {args.id}")
     run, fields = _REPRODUCTIONS[args.id]
     passed = run(**fields)
@@ -535,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, UnknownExample, DimensionTooLarge, NotHermitian, NotPositive) as exc:
+    except (ConfigError, DimensionTooLarge, NotHermitian, NotPositive) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FilterAnnihilatesState as exc:

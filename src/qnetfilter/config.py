@@ -36,7 +36,6 @@ __all__ = [
     "ScanAxis",
     "load_config",
     "get_path",
-    "set_path",
     "build_states",
     "build_filter_spec",
     "build_network",
@@ -73,7 +72,7 @@ def load_config(path: str) -> dict:
             cfg = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an integer over 4300 digits, deep nesting
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("top level must be a JSON object")
@@ -124,13 +123,6 @@ def get_path(cfg: dict, path: str) -> object:
     for key in _keys(cfg, path):
         node = node[key]
     return node
-
-
-def set_path(cfg: dict, path: str, value: object) -> None:
-    """Assign to a dotted path; the path must already exist."""
-    head, dot, leaf = path.rpartition(".")
-    parent = get_path(cfg, head) if dot else cfg
-    parent[_key(parent, leaf, path)] = value
 
 
 def _fields(entry: object, where: str, allowed: tuple[str, ...], required: tuple[str, ...] = ()) -> dict:
@@ -359,11 +351,10 @@ def config_with_values(cfg: dict, assignments: dict[str, float]) -> dict:
     """
     copied = dict(cfg)
     for path, value in assignments.items():
-        head, dot, leaf = path.rpartition(".")
+        *head, leaf = _keys(copied, path)
         parent: object = copied
-        for part in head.split(".") if dot else ():
-            key = _key(parent, part, head)
+        for key in head:
             parent[key] = copy.copy(parent[key])
             parent = parent[key]
-        parent[_key(parent, leaf, path)] = value
+        parent[leaf] = value
     return copied

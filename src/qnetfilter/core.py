@@ -72,13 +72,10 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     stack raises what checking its matrices one by one would raise first.
     """
     mat = np.asarray(rho, dtype=complex)
-    if mat.ndim == 2:
+    if mat.ndim == 2:  # one matrix: the single-matrix checks are cheaper than the stack reductions
         return _validate_matrix(mat)
     if mat.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-    if mat.size == 16:  # a stack of one: the single-matrix checks are cheaper
-        _validate_matrix(mat.reshape(4, 4))
-        return mat
     # Whole-stack reductions; NaN fails every comparison, and eigvalsh runs only on finite input.
     adjoint = mat.swapaxes(-1, -2).conj()
     valid = np.abs(mat - adjoint).max(initial=0.0) <= HERMITICITY_ATOL

@@ -351,9 +351,9 @@ def born_distribution(
     0..3 indexed per BELL_BITS.  Only chains with at most 6 links are
     enumerated (the number of outcomes grows as 4^n).
     """
-    links = _link_tensors(spec)
     if y_first not in (0, 1) or y_last not in (0, 1):
         raise ValueError("settings choices must be 0 or 1")
+    links = _link_tensors(spec)
     return {outcome: float(p) for outcome, p in np.ndenumerate(_distribution(links, settings, y_first, y_last))}
 
 

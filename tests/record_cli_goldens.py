@@ -1,0 +1,102 @@
+"""Record the exit code and the SHA-256 of stdout of the CLI's own commands.
+
+    python3 tests/record_cli_goldens.py
+
+Writes ``tests/cli_goldens.json``.  ``tests/test_goldens.py`` runs the same
+``CASES`` in-process and compares, so a change that moves one output digit
+fails in Tier-1.  Re-record only at a commit whose outputs are the reference,
+and say in CHANGES.md which outputs moved and why.
+
+``reproduce conjecture-search`` is left out: it takes seconds, and the
+conjecture slice of ``perfbench/goldens.json`` already pins ``conjecture_search``.
+A reproduction that reports FAIL is pinned as it is, with exit code 1.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+GOLDENS_PATH = Path(__file__).resolve().parent / "cli_goldens.json"
+
+_EXAMPLE = {
+    "links": [{"family": "grud", "v": 0.1, "x": 0.23}, {"family": "grud", "v": 0.99, "x": 0.44}],
+    "filters": {"middle": [[0.8, 0.97]]},
+}
+_SETTINGS = {"m0": [0, 0, 1], "m1": [1, 0, 0], "n0": [0, 0, 1], "n1": [1, 0, 0]}
+_NOISY_SCAN = dict(
+    _EXAMPLE,
+    channels=[{"link": 2, "type": "bit_flip", "param": 0.0}],
+    scan={"axes": [
+        {"path": "channels.0.param", "min": 0.0, "max": 0.3, "steps": 3},
+        {"path": "filters.middle.0.0", "min": 0.3, "max": 1.0, "steps": 4},
+    ]},
+)
+_BITFLIP_THRESHOLD = {
+    "links": [{"family": "pure_theta", "theta": 0.62}, {"family": "pure_theta", "theta": 0.62}],
+    "channels": [
+        {"link": 1, "type": "bit_flip", "param": 0.1},
+        {"link": 2, "type": "bit_flip", "param": 0.15},
+    ],
+    "filters": {"middle": [[0.98, 0.79]]},
+    "scan": {"axes": [{"path": "channels.0.param", "min": 0.0, "max": 0.4, "steps": 2}]},
+}
+_REPRODUCE_IDS = (
+    "bilocal-grud",
+    "bilocal-grud-allfilter",
+    "trilocal-grud",
+    "bilocal-werner",
+    "trilocal-werner",
+    "xstate-pair",
+    "bitflip-threshold",
+    "damping-threshold",
+    "theorem1",
+)
+
+# Each case: its name, the config written to a file (or None), and the argv with
+# ``{config}`` standing for that file's path.
+CASES = [
+    ("eval", _EXAMPLE, ["eval", "--config", "{config}"]),
+    ("eval-settings", dict(_EXAMPLE, settings=_SETTINGS), ["eval", "--config", "{config}"]),
+    ("scan", _NOISY_SCAN, ["scan", "--config", "{config}"]),
+    *(
+        (f"threshold-{target}", _BITFLIP_THRESHOLD,
+         ["threshold", "--config", "{config}", "--axis", "channels.0.param", "--target", target])
+        for target in ("b_lin", "b_seq")
+    ),
+    ("optimize", _EXAMPLE,
+     ["optimize", "--config", "{config}", "--free", "filters.middle.0.0,filters.middle.0.1", "--seed", "3"]),
+    ("oracle-settings", dict(_EXAMPLE, settings=_SETTINGS), ["oracle", "--config", "{config}"]),
+    ("oracle-seed", dict(_EXAMPLE, seed=11), ["oracle", "--config", "{config}"]),
+    *((f"reproduce-{name}", None, ["reproduce", name]) for name in _REPRODUCE_IDS),
+]
+
+
+def run_case(config: dict | None, argv: list[str], workdir: Path) -> tuple[int, str]:
+    """Run one case through ``qnetfilter.cli.main``; return its exit code and the SHA-256 of its stdout."""
+    from qnetfilter.cli import main
+
+    path = workdir / "config.json"
+    if config is not None:
+        path.write_text(json.dumps(config), encoding="utf-8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main([arg.replace("{config}", str(path)) for arg in argv])
+    return code, hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+
+
+def main() -> int:
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        goldens = {name: list(run_case(config, argv, Path(tmp))) for name, config, argv in CASES}
+    GOLDENS_PATH.write_text(json.dumps(goldens, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -117,6 +117,24 @@ def test_eval_unreadable_config_is_a_config_error(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b'{"links": "\xff"}', "can't decode byte 0xff"),
+        (b'{"n": ' + b"9" * 4301 + b"}", "Exceeds the limit (4300 digits)"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf-8", "huge-integer", "deep-nesting"],
+)
+def test_config_file_that_json_cannot_load_is_a_config_error(tmp_path, capsys, content, reason):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    code, out, err = _run(capsys, "eval", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: invalid JSON in {path}: ") and reason in err
+    assert "Traceback" not in err
+
+
 def _nan_link_config():
     pairs = matrix_to_pairs(np.eye(4) / 4.0)
     pairs[0][1][0] = float("nan")
@@ -242,6 +260,11 @@ def _channel_config(**channel):
             _two_axis_config("filters.middle.0.1", "filters.middle.00.1"),
             "no such config path: filters.middle.00.1 ('00' is not an index)",
         ),
+        (
+            "scan",
+            _two_axis_config("filters.middle", "filters.middle.0.1"),
+            "no such config path: filters.middle.0.1 (cannot descend into '0')\n",
+        ),
         ("oracle", dict(_example_config(), seed=-3), "seed must be non-negative, got -3"),
         ("optimize --free filters.middle.0.0", dict(_example_config(), seed=-3), "seed must be non-negative, got -3"),
         ("oracle --seed -1", _example_config(), "--seed must be non-negative, got -1"),
@@ -255,6 +278,7 @@ def _channel_config(**channel):
         "eval-first-string", "eval-middle-true", "eval-first-huge", "oracle-settings-huge", "scan-max-huge",
         "eval-family-array", "oracle-family-object", "eval-type-object", "eval-type-array", "eval-n-float",
         "eval-explicit-true", "eval-explicit-string", "scan-repeated-path", "scan-repeated-index-spelling",
+        "scan-axes-overlap-by-prefix",
         "oracle-seed-negative", "optimize-seed-negative", "oracle-flag-seed-negative",
         "optimize-no-free-flag-seed-negative",
     ],
@@ -807,9 +831,13 @@ def test_oracle_refuses_long_chains(tmp_path, capsys):
 
 
 def test_reproduce_unknown_id(capsys):
-    code, _, err = _run(capsys, "reproduce", "no-such-id")
-    assert code == 2
-    assert "bilocal-grud" in err and "xstate-pair" in err
+    code, out, err = _run(capsys, "reproduce", "nosuch")
+    assert (code, out) == (2, "")
+    assert err == (
+        "config error: unknown reproduction id 'nosuch'; known ids: bilocal-grud, bilocal-grud-allfilter, "
+        "bilocal-werner, bitflip-threshold, conjecture-search, damping-threshold, theorem1, trilocal-grud, "
+        "trilocal-werner, xstate-pair\n"
+    )
 
 
 def test_reproduce_xstate_pair(capsys):

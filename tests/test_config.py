@@ -22,7 +22,6 @@ from qnetfilter import (
     load_config,
     matrix_to_pairs,
     scan_axes,
-    set_path,
     werner_state,
 )
 from qnetfilter.config import build_filter_spec, config_seed, config_with_values
@@ -93,11 +92,6 @@ class TestDottedPaths:
         assert get_path(cfg, "links.0.v") == 0.1
         assert get_path(cfg, "filters.middle.0.1") == 0.97
 
-    def test_set_then_get(self) -> None:
-        cfg = base_config()
-        set_path(cfg, "links.1.x", 0.3)
-        assert get_path(cfg, "links.1.x") == 0.3
-
     def test_missing_key(self) -> None:
         with pytest.raises(ConfigError, match="missing 'w'"):
             get_path(base_config(), "links.0.w")
@@ -112,7 +106,6 @@ class TestDottedPaths:
         cfg["links"] = cfg["links"] * 6  # index 10 exists, so "1_0" cannot resolve by accident
         for walk in (
             lambda: get_path(cfg, f"links.{part}.v"),
-            lambda: set_path(cfg, f"links.{part}.v", 1.0),
             lambda: config_with_values(cfg, {f"links.{part}.v": 1.0}),
         ):
             with pytest.raises(ConfigError, match=re.escape(f"({part!r} is not an index)")):
@@ -128,10 +121,6 @@ class TestDottedPaths:
     def test_index_out_of_range(self) -> None:
         with pytest.raises(ConfigError, match="out of range"):
             get_path(base_config(), "links.5.v")
-
-    def test_set_cannot_create_keys(self) -> None:
-        with pytest.raises(ConfigError, match="missing"):
-            set_path(base_config(), "links.0.w", 1.0)
 
     def test_cannot_descend_into_scalar(self) -> None:
         with pytest.raises(ConfigError, match="cannot descend"):
@@ -163,7 +152,6 @@ class TestDottedPaths:
         ]:
             for walk in (
                 lambda: get_path(cfg, path),
-                lambda: set_path(cfg, path, 1.0),
                 lambda: config_with_values(cfg, {path: 1.0}),
             ):
                 with pytest.raises(ConfigError, match=re.escape(kind)):

@@ -474,9 +474,10 @@ class TestBornOracle:
             born_distribution(spec, OPTIMAL_SINGLET_SETTINGS, 0, 0)
 
     def test_rejects_bad_setting_choice(self) -> None:
-        spec = NetworkSpec(links=(SINGLET, SINGLET))
-        with pytest.raises(ValueError, match="0 or 1"):
-            born_distribution(spec, OPTIMAL_SINGLET_SETTINGS, 2, 0)
+        # Checked before the chain, so a chain too long to enumerate gets the same error.
+        for n in (2, 7):
+            with pytest.raises(ValueError, match="settings choices must be 0 or 1"):
+                born_distribution(NetworkSpec(links=(SINGLET,) * n), OPTIMAL_SINGLET_SETTINGS, 2, 0)
 
     def test_oracle_attains_the_singlet_bound(self) -> None:
         """Direct outcome enumeration reproduces sqrt(2) at the optimum."""
