@@ -114,7 +114,5 @@ def apply_channel(rho: np.ndarray, channel: KrausChannel, sides: str = "both") -
     right = ops if sides != "left" else ID2[None]
     # The Kronecker products left_a @ right_b for every pair (a, b), multiplied as np.kron does.
     pairs = (left[:, None, :, None, :, None] * right[None, :, None, :, None, :]).reshape(-1, 4, 4)
-    out = np.zeros((4, 4), dtype=complex)
-    for op in pairs:
-        out += op @ mat @ op.conj().T
-    return out
+    # Summed pair by pair from +0.0, so no entry comes out as -0.0.
+    return (pairs @ mat @ pairs.conj().swapaxes(-1, -2)).sum(axis=0, initial=0.0)

@@ -156,12 +156,18 @@ def _threshold(cfg: dict, path: str, lo: float, hi: float, target: str) -> float
     return float(bisect(objective, lo, hi, xtol=1e-4))
 
 
+def _threshold_range(cfg: dict, path: str) -> tuple[float, float]:
+    """The ``min`` and ``max`` of the scan axis at ``path``, as ``scan_axes`` validated them; ``steps`` is not read."""
+    matching = [index for index, axis in enumerate(scan_axes(cfg)) if axis.path == path]
+    if len(matching) != 1:
+        raise ConfigError(f"scan block must contain exactly one axis with path {path!r}")
+    axis = cfg["scan"]["axes"][matching[0]]
+    return float(axis["min"]), float(axis["max"])
+
+
 def cmd_threshold(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    matching = [axis for axis in scan_axes(cfg) if axis.path == args.axis]
-    if len(matching) != 1:
-        raise ConfigError(f"scan block must contain exactly one axis with path {args.axis!r}")
-    lo, hi = float(matching[0].values[0]), float(matching[0].values[-1])
+    lo, hi = _threshold_range(cfg, args.axis)
     root = _threshold(cfg, args.axis, lo, hi, args.target)
     _print_json({"axis": args.axis, "target": args.target, "range": [lo, hi], "threshold": root})
     return 0
@@ -196,12 +202,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         except ConfigError:
             raise ConfigError(f"--free path {path!r} must name a number, got {value!r}") from None
 
-    if not free:
-        result = evaluate(build_network(cfg))
-        _print_json({"seed": seed, "free": [], "argmax": {}, "best": _eval_payload(result)})
-        return 0
-
     build = network_factory(cfg, free)
+    build(start)  # the config as given: rejected here as eval rejects it
 
     def negative_b_seq(values: np.ndarray) -> float:
         try:
@@ -211,7 +213,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
     rng = np.random.default_rng(seed)
     starts = [np.array(start)] + [rng.uniform(0.0, 1.0, size=len(free)) for _ in range(16)]
-    _, best_x = nelder_mead(negative_b_seq, starts, [(0.0, 1.0)] * len(free))
+    # With no free value there is nothing to search: the config as given is the result.
+    best_x = nelder_mead(negative_b_seq, starts, [(0.0, 1.0)] * len(free))[1] if free else start
     argmax = dict(zip(free, (float(v) for v in best_x)))
     final = evaluate(build(list(argmax.values())))
     _print_json({"seed": seed, "free": free, "argmax": argmax, "best": _eval_payload(final)})
@@ -298,7 +301,7 @@ def _run_region(label: str, config: dict, min_success: float | None) -> bool:
 def _run_thresholds(config: dict, checks: list) -> bool:
     """Bisect each target bound along the config's single scan axis and compare."""
     (axis,) = scan_axes(config)
-    lo, hi = float(axis.values[0]), float(axis.values[-1])
+    lo, hi = _threshold_range(config, axis.path)
     reports = [
         _report(label, expected, tol, _threshold(config, axis.path, lo, hi, target))
         for label, target, expected, tol in checks

@@ -246,15 +246,7 @@ def build_filter_spec(cfg: dict, n_links: int) -> NetworkFilterSpec:
 
 def build_network(cfg: dict) -> NetworkSpec:
     """Assemble the full chain: states, channels, then filter assignment."""
-    return _network(cfg, build_states(cfg))
-
-
-def _network(cfg: dict, states: list[np.ndarray]) -> NetworkSpec:
-    """The chain of ``cfg`` on its link ``states``, already built with channels applied."""
-    if len(states) < 2:
-        raise ConfigError("links: a chain needs at least 2 links")
-    filters = build_filter_spec(cfg, len(states))
-    return NetworkSpec(links=tuple(states), filters=filters)
+    return network_factory(cfg, ())(())
 
 
 # The top-level fields that build_states reads; a value anywhere else leaves the link states as they are.
@@ -279,7 +271,9 @@ def network_factory(cfg: dict, paths: Sequence[str]) -> Callable[[Sequence[float
         point = config_with_values(cfg, dict(zip(paths, values)))
         key = [repr(values[k]) for k in state_paths]  # repr tells 0.0 from -0.0, which == does not
         states = last_states if key == last_key else build_states(point)
-        spec = _network(point, states)
+        if len(states) < 2:
+            raise ConfigError("links: a chain needs at least 2 links")
+        spec = NetworkSpec(links=tuple(states), filters=build_filter_spec(point, len(states)))
         last_key, last_states = key, states
         return spec
 

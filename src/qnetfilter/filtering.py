@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,11 +73,11 @@ class NetworkFilterSpec:
         return cls(middle=((1.0, 1.0),) * (n_links - 1))
 
 
-def _check_chain(n_links: int, spec: NetworkFilterSpec) -> None:
-    """Raise ValueError unless the chain has at least 2 links and ``spec`` one middle pair per intermediate party."""
+def _check_chain(n_links: int, spec: NetworkFilterSpec | None = None) -> None:
+    """Raise ValueError unless the chain has at least 2 links and ``spec`` (if given) one pair per middle party."""
     if n_links < 2:
         raise ValueError(f"a chain needs at least 2 links, got {n_links}")
-    if len(spec.middle) != n_links - 1:
+    if spec is not None and len(spec.middle) != n_links - 1:
         raise ValueError(
             f"expected {n_links - 1} intermediate filter pairs for {n_links} links, got {len(spec.middle)}"
         )
@@ -135,28 +136,24 @@ def filter_network(states: np.ndarray | list[np.ndarray], spec: NetworkFilterSpe
     _check_chain(n_links, spec)
     eps = np.array((spec.eps_first, *itertools.chain.from_iterable(spec.middle), spec.eps_last)).reshape(n_links, 2)
     filtered = np.array(states, dtype=complex)
-    successes = np.ones(n_links)
     active = np.flatnonzero((eps != 1.0).any(axis=1))
     scaled, success = _rescale(filtered[active], eps[active])
     outputs = None
     if (success > ANNIHILATION_ATOL).all():
         with contextlib.suppress(ValueError):
             outputs = validate_density(scaled / success[:, None, None])
-    if outputs is not None:
-        filtered[active], successes[active] = outputs, success
-    else:
+    if outputs is None:
         # A link annihilated or failed validation: filter link by link, so the first failure raises as it would alone.
         for index in active:
             try:
-                filtered[index], successes[index] = apply_link_filter(filtered[index], *eps[index])
+                apply_link_filter(filtered[index], *eps[index])
             except FilterAnnihilatesState as exc:
                 raise FilterAnnihilatesState(f"link {index + 1}: {exc}") from None
             except NotPositive as exc:
                 raise NotPositive(f"link {index + 1}: filtered state has {exc}") from None
-    overall = 1.0
-    for success in successes.tolist():
-        overall *= success
-    return filtered, overall
+    filtered[active] = outputs
+    # An identity link's success is exactly 1, so the product over the active links is the chain's.
+    return filtered, math.prod(success.tolist(), start=1.0)
 
 
 def filtered_bell_diagonal(

@@ -37,6 +37,15 @@ _NOISY_SCAN = dict(
         {"path": "filters.middle.0.0", "min": 0.3, "max": 1.0, "steps": 4},
     ]},
 )
+# One-sided Kraus pairs: amplitude damping on the left qubit of link 1 only.
+_DAMPED_SCAN = dict(
+    _EXAMPLE,
+    channels=[{"link": 1, "type": "amplitude_damping", "param": 0.0, "sides": "left"}],
+    scan={"axes": [
+        {"path": "channels.0.param", "min": 0.0, "max": 0.6, "steps": 3},
+        {"path": "links.1.v", "min": 0.5, "max": 1.0, "steps": 3},
+    ]},
+)
 _BITFLIP_THRESHOLD = {
     "links": [{"family": "pure_theta", "theta": 0.62}, {"family": "pure_theta", "theta": 0.62}],
     "channels": [
@@ -64,6 +73,7 @@ CASES = [
     ("eval", _EXAMPLE, ["eval", "--config", "{config}"]),
     ("eval-settings", dict(_EXAMPLE, settings=_SETTINGS), ["eval", "--config", "{config}"]),
     ("scan", _NOISY_SCAN, ["scan", "--config", "{config}"]),
+    ("scan-damping-left", _DAMPED_SCAN, ["scan", "--config", "{config}"]),
     *(
         (f"threshold-{target}", _BITFLIP_THRESHOLD,
          ["threshold", "--config", "{config}", "--axis", "channels.0.param", "--target", target])
@@ -71,6 +81,7 @@ CASES = [
     ),
     ("optimize", _EXAMPLE,
      ["optimize", "--config", "{config}", "--free", "filters.middle.0.0,filters.middle.0.1", "--seed", "3"]),
+    ("optimize-no-free", _EXAMPLE, ["optimize", "--config", "{config}", "--free", ""]),
     ("oracle-settings", dict(_EXAMPLE, settings=_SETTINGS), ["oracle", "--config", "{config}"]),
     ("oracle-seed", dict(_EXAMPLE, seed=11), ["oracle", "--config", "{config}"]),
     *((f"reproduce-{name}", None, ["reproduce", name]) for name in _REPRODUCE_IDS),

@@ -150,7 +150,8 @@ class TestApplyChannel:
                     expected = np.zeros((4, 4), dtype=complex)
                     for op in pairs:
                         expected += op @ rho @ op.conj().T
-                    assert np.array_equal(apply_channel(rho, channel, sides=sides), expected), sides
+                    # Bytes, not ==, so that a -0.0 in place of 0.0 fails too.
+                    assert apply_channel(rho, channel, sides=sides).tobytes() == expected.tobytes(), sides
 
     def test_rejects_unknown_sides(self) -> None:
         with pytest.raises(ValueError, match="sides must be one of"):

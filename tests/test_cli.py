@@ -579,7 +579,7 @@ def test_scan_separable_partner_region_nonempty(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def _bitflip_threshold_config():
+def _bitflip_threshold_config(steps=2):
     return {
         "links": [
             {"family": "pure_theta", "theta": 0.62},
@@ -589,18 +589,22 @@ def _bitflip_threshold_config():
             {"link": 1, "type": "bit_flip", "param": 0.1},
             {"link": 2, "type": "bit_flip", "param": 0.15},
         ],
-        "scan": {"axes": [{"path": "channels.0.param", "min": 0.0, "max": 0.4, "steps": 2}]},
+        "scan": {"axes": [{"path": "channels.0.param", "min": 0.0, "max": 0.4, "steps": steps}]},
     }
 
 
 def test_threshold_agrees_with_dense_grid(tmp_path, capsys):
-    cfg = _bitflip_threshold_config()
-    code, out, _ = _run(
-        capsys, "threshold", "--config", _write(tmp_path, cfg), "--axis",
-        "channels.0.param", "--target", "b_lin",
-    )
-    assert code == 0
-    payload = json.loads(out)
+    # Bisection runs over min..max whatever the grid's steps, so a single step gives the same output.
+    outputs = []
+    for steps in (2, 1):
+        code, out, _ = _run(
+            capsys, "threshold", "--config", _write(tmp_path, _bitflip_threshold_config(steps)), "--axis",
+            "channels.0.param", "--target", "b_lin",
+        )
+        assert code == 0, f"steps {steps}"
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    payload = json.loads(outputs[0])
     assert payload["axis"] == "channels.0.param"
     assert payload["range"] == [0.0, 0.4]
 
@@ -707,6 +711,18 @@ def test_optimize_rejects_a_repeated_free_path(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "config error: --free path 3 ('filters.middle.0.0') names the same value as --free path 2\n"
+
+
+def test_optimize_rejects_an_out_of_range_start_as_eval_does(tmp_path, capsys, monkeypatch):
+    def no_search(*_args):
+        raise AssertionError("the optimisation ran on a config that eval rejects")
+
+    monkeypatch.setattr("qnetfilter.cli.nelder_mead", no_search)
+    cfg = dict(_example_config(), filters={"first": 1.5, "middle": [[0.8, 0.97]]})
+    code, out, err = _run(capsys, "optimize", "--config", _write(tmp_path, cfg), "--free", "filters.first")
+    assert code == 2
+    assert out == ""
+    assert err == "config error: filters: eps_first must lie in [0, 1], got 1.5\n"
 
 
 def test_optimize_cannot_push_product_link_past_one(tmp_path, capsys):

@@ -168,6 +168,11 @@ class TestBLin:
         with pytest.raises(NotPositive, match="minimum eigenvalue"):
             b_lin([SINGLET, NOT_POSITIVE])
 
+    @pytest.mark.parametrize("n_links", [0, 1])
+    def test_needs_two_links(self, n_links) -> None:
+        with pytest.raises(ValueError, match=f"^a chain needs at least 2 links, got {n_links}$"):
+            b_lin([werner_state(1.0)] * n_links)
+
     def test_singlet_pair_reaches_sqrt_two(self) -> None:
         assert b_lin([SINGLET, SINGLET]) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
