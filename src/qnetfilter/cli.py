@@ -134,42 +134,34 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _threshold(cfg: dict, path: str, lo: float, hi: float, target: str) -> float:
-    """Bisect where ``target`` crosses 1 as the config value at ``path`` runs from lo to hi."""
-    build = network_factory(cfg, [path])
+def _threshold(cfg: dict, axis: ScanAxis, target: str) -> float:
+    """Bisect where ``target`` crosses 1 as the config value on ``axis`` runs from its low to its high."""
+    build = network_factory(cfg, [axis.path])
 
     def objective(value: float) -> float:
         spec = build((float(value),))
         bound = _bound(_bloch_form(spec.links).W) if target == "b_lin" else b_seq(spec)[0]
         return bound - 1.0
 
+    lo, hi = axis.low, axis.high
     f_lo, f_hi = objective(lo), objective(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
     if f_lo * f_hi > 0.0:
         raise NoCrossing(
             f"{target} - 1 has the same sign at both endpoints "
             f"({f_lo:+.3e} at {_fmt(lo)}, {f_hi:+.3e} at {_fmt(hi)})"
         )
+    # bisect returns an endpoint at which the objective is exactly 0.
     return float(bisect(objective, lo, hi, xtol=1e-4))
-
-
-def _threshold_range(cfg: dict, path: str) -> tuple[float, float]:
-    """The ``min`` and ``max`` of the scan axis at ``path``, as ``scan_axes`` validated them; ``steps`` is not read."""
-    matching = [index for index, axis in enumerate(scan_axes(cfg)) if axis.path == path]
-    if len(matching) != 1:
-        raise ConfigError(f"scan block must contain exactly one axis with path {path!r}")
-    axis = cfg["scan"]["axes"][matching[0]]
-    return float(axis["min"]), float(axis["max"])
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    lo, hi = _threshold_range(cfg, args.axis)
-    root = _threshold(cfg, args.axis, lo, hi, args.target)
-    _print_json({"axis": args.axis, "target": args.target, "range": [lo, hi], "threshold": root})
+    matching = [axis for axis in scan_axes(cfg) if axis.path == args.axis]
+    if len(matching) != 1:
+        raise ConfigError(f"scan block must contain exactly one axis with path {args.axis!r}")
+    (axis,) = matching
+    root = _threshold(cfg, axis, args.target)
+    _print_json({"axis": axis.path, "target": args.target, "range": [axis.low, axis.high], "threshold": root})
     return 0
 
 
@@ -301,9 +293,8 @@ def _run_region(label: str, config: dict, min_success: float | None) -> bool:
 def _run_thresholds(config: dict, checks: list) -> bool:
     """Bisect each target bound along the config's single scan axis and compare."""
     (axis,) = scan_axes(config)
-    lo, hi = _threshold_range(config, axis.path)
     reports = [
-        _report(label, expected, tol, _threshold(config, axis.path, lo, hi, target))
+        _report(label, expected, tol, _threshold(config, axis, target))
         for label, target, expected, tol in checks
     ]
     return all(reports)

@@ -297,10 +297,17 @@ def build_settings(cfg: dict) -> MeasurementSettings | None:
 
 @dataclass(frozen=True)
 class ScanAxis:
-    """One scan dimension: a dotted config path and its grid values."""
+    """One scan dimension: a dotted config path and its inclusive grid from ``low`` to ``high``."""
 
     path: str
-    values: np.ndarray
+    low: float
+    high: float
+    steps: int
+
+    @property
+    def values(self) -> np.ndarray:
+        """The grid, built only when read: ``threshold`` needs just ``low`` and ``high``."""
+        return np.linspace(self.low, self.high, self.steps)
 
 
 def scan_axes(cfg: dict) -> list[ScanAxis]:
@@ -327,7 +334,7 @@ def scan_axes(cfg: dict) -> list[ScanAxis]:
             raise ConfigError(f"{where}.path {path!r} names the same value as scan.axes.{seen[keys]}.path")
         seen[keys] = index
         low, high = (float(_number(axis[bound], f"{where}.{bound}")) for bound in ("min", "max"))
-        parsed.append(ScanAxis(path=path, values=np.linspace(low, high, steps)))
+        parsed.append(ScanAxis(path=path, low=low, high=high, steps=steps))
     return parsed
 
 

@@ -190,7 +190,8 @@ def rotation_to_unitary(rotation: np.ndarray) -> np.ndarray:
     rot = np.asarray(rotation, dtype=float)
     if rot.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {rot.shape}")
-    if np.max(np.abs(rot.T @ rot - np.eye(3))) > 1e-9 or np.linalg.det(rot) < 0.0:
+    # Finiteness first: NaN passes both comparisons below, and inf warns inside them.
+    if not np.isfinite(rot).all() or np.max(np.abs(rot.T @ rot - np.eye(3))) > 1e-9 or np.linalg.det(rot) < 0.0:
         raise ValueError("matrix is not a proper rotation")
     t = float(np.trace(rot))
     table = np.empty((4, 4))

@@ -61,11 +61,14 @@ class NetworkFilterSpec:
     def __post_init__(self) -> None:
         _check_eps("eps_first", self.eps_first)
         _check_eps("eps_last", self.eps_last)
-        normalised = tuple(
-            (_check_eps(f"middle[{i}][0]", pair[0]), _check_eps(f"middle[{i}][1]", pair[1]))
-            for i, pair in enumerate(self.middle)
-        )
-        object.__setattr__(self, "middle", normalised)
+        normalised = []
+        for i, pair in enumerate(self.middle):
+            try:
+                eps1, eps2 = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"middle[{i}] must be a pair of two strengths, got {pair!r}") from None
+            normalised.append((_check_eps(f"middle[{i}][0]", eps1), _check_eps(f"middle[{i}][1]", eps2)))
+        object.__setattr__(self, "middle", tuple(normalised))
 
     @classmethod
     def identity(cls, n_links: int) -> "NetworkFilterSpec":

@@ -79,6 +79,13 @@ CASES = [
          ["threshold", "--config", "{config}", "--axis", "channels.0.param", "--target", target])
         for target in ("b_lin", "b_seq")
     ),
+    # The same axis run from max to min, and with steps omitted (the default of 101).
+    ("threshold-b_lin-reversed", dict(_BITFLIP_THRESHOLD, scan={"axes": [
+        {"path": "channels.0.param", "min": 0.4, "max": 0.0, "steps": 2},
+    ]}), ["threshold", "--config", "{config}", "--axis", "channels.0.param", "--target", "b_lin"]),
+    ("threshold-b_seq-default-steps", dict(_BITFLIP_THRESHOLD, scan={"axes": [
+        {"path": "channels.0.param", "min": 0.0, "max": 0.4},
+    ]}), ["threshold", "--config", "{config}", "--axis", "channels.0.param", "--target", "b_seq"]),
     ("optimize", _EXAMPLE,
      ["optimize", "--config", "{config}", "--free", "filters.middle.0.0,filters.middle.0.1", "--seed", "3"]),
     ("optimize-no-free", _EXAMPLE, ["optimize", "--config", "{config}", "--free", ""]),

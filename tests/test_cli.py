@@ -645,6 +645,55 @@ def test_threshold_axis_must_be_declared(tmp_path, capsys):
     assert "exactly one axis" in err
 
 
+@pytest.fixture
+def no_linspace(monkeypatch):
+    """Make any grid build fail, so a test with an enormous ``steps`` never allocates one."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linspace was called")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+
+
+def test_scan_axes_builds_no_grid(no_linspace):
+    (axis,) = scan_axes(_bitflip_threshold_config(10**11))
+    assert (axis.path, axis.low, axis.high, axis.steps) == ("channels.0.param", 0.0, 0.4, 10**11)
+
+
+def test_threshold_ignores_an_enormous_steps(tmp_path, capsys, no_linspace):
+    # threshold reads only min and max, so a grid far too large to build changes nothing.
+    outputs = []
+    for steps in (2, 10**11):
+        code, out, err = _run(
+            capsys, "threshold", "--config", _write(tmp_path, _bitflip_threshold_config(steps)), "--axis",
+            "channels.0.param", "--target", "b_lin",
+        )
+        assert (code, err) == (0, ""), f"steps {steps}"
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("endpoint", [0, 1], ids=["min", "max"])
+def test_threshold_at_an_exact_root_endpoint_prints_that_endpoint(tmp_path, capsys, monkeypatch, endpoint):
+    # A natural config gives no exact root, so b_seq is replaced by one that is exactly 1.0 at
+    # the chosen endpoint and 2.0 elsewhere.
+    cfg = _bitflip_threshold_config()
+    bounds = (0.0, 0.4)
+    root_links = build_network(config_with_values(cfg, {"channels.0.param": bounds[endpoint]})).links
+
+    def fake_b_seq(spec):
+        return (1.0 if np.array_equal(spec.links, root_links) else 2.0), None
+
+    monkeypatch.setattr("qnetfilter.cli.b_seq", fake_b_seq)
+    code, out, _ = _run(
+        capsys, "threshold", "--config", _write(tmp_path, cfg), "--axis", "channels.0.param", "--target", "b_seq",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["range"] == list(bounds)
+    assert payload["threshold"] == bounds[endpoint]
+
+
 def test_annihilating_filter_exits_with_code_3(tmp_path, capsys):
     cfg = {
         "links": [

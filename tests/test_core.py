@@ -325,6 +325,14 @@ class TestRotationToUnitary:
         with pytest.raises(ValueError, match="not a proper rotation"):
             rotation_to_unitary(np.eye(3) * 1.5)
 
+    @pytest.mark.parametrize(
+        "matrix", [np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0])], ids=["nan", "inf"]
+    )
+    def test_rejects_non_finite(self, matrix) -> None:
+        # NaN would pass both the orthogonality and the determinant comparison.
+        with pytest.raises(ValueError, match="not a proper rotation"):
+            rotation_to_unitary(matrix)
+
 
 class TestCanonicalFrame:
     """Local-unitary rotation into a diagonal correlation tensor."""

@@ -149,6 +149,16 @@ class TestFilterNetwork:
         with pytest.raises(ValueError, match="expected 2 intermediate filter pairs for 3 links, got 1"):
             filter_network(states, NetworkFilterSpec(middle=((0.5, 0.5),)))
 
+    @pytest.mark.parametrize(
+        "middle",
+        [((0.1, 0.2, 0.3),), ((0.5,),), (0.5,), ((0.5, 0.5), (0.5,))],
+        ids=["triple", "single", "scalar", "second-entry"],
+    )
+    def test_rejects_a_middle_entry_that_is_not_a_pair(self, middle) -> None:
+        index = len(middle) - 1
+        with pytest.raises(ValueError, match=rf"middle\[{index}\] must be a pair of two strengths"):
+            NetworkFilterSpec(middle=middle)
+
     def test_rejects_short_chain(self) -> None:
         with pytest.raises(ValueError, match="a chain needs at least 2 links, got 1"):
             filter_network([np.eye(4) / 4.0], NetworkFilterSpec(middle=()))
