@@ -8,7 +8,6 @@ by bisection; filters shift it.
 """
 
 import numpy as np
-from scipy.optimize import bisect
 
 from qnetfilter import (
     NetworkFilterSpec,
@@ -17,6 +16,7 @@ from qnetfilter import (
     apply_channel,
     b_lin,
     b_seq,
+    bisect,
     pure_theta_state,
 )
 

@@ -46,6 +46,7 @@ from .nlocal import (
     lhs_at_settings,
     maximize_lhs,
 )
+from .solvers import bisect
 from .config import (
     ConfigError,
     ScanAxis,

@@ -27,7 +27,6 @@ import sys
 from collections.abc import Iterator
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .config import (
     ConfigError,
@@ -57,6 +56,7 @@ from .nlocal import (
     lhs_at_settings,
     nelder_mead,
 )
+from .solvers import bisect
 from .states import product_state
 
 __all__ = ["main", "NoCrossing"]
@@ -151,7 +151,7 @@ def _threshold(cfg: dict, axis: ScanAxis, target: str) -> float:
             f"({f_lo:+.3e} at {_fmt(lo)}, {f_hi:+.3e} at {_fmt(hi)})"
         )
     # bisect returns an endpoint at which the objective is exactly 0.
-    return float(bisect(objective, lo, hi, xtol=1e-4))
+    return bisect(objective, lo, hi, xtol=1e-4, f_a=f_lo, f_b=f_hi)
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
@@ -197,9 +197,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     build = network_factory(cfg, free)
     build(start)  # the config as given: rejected here as eval rejects it
 
-    def negative_b_seq(values: np.ndarray) -> float:
+    def negative_b_seq(values: list[float]) -> float:
         try:
-            return -b_seq(build([float(v) for v in values]))[0]
+            return -b_seq(build(values))[0]
         except FilterAnnihilatesState:
             return 1.0  # score -1.0: annihilating assignments never win
 

@@ -240,7 +240,7 @@ def build_filter_spec(cfg: dict, n_links: int) -> NetworkFilterSpec:
     )
     try:
         return NetworkFilterSpec(eps_first=first, eps_last=last, middle=pairs)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"filters: {exc}") from None
 
 
@@ -307,7 +307,11 @@ class ScanAxis:
     @property
     def values(self) -> np.ndarray:
         """The grid, built only when read: ``threshold`` needs just ``low`` and ``high``."""
-        return np.linspace(self.low, self.high, self.steps)
+        try:
+            return np.linspace(self.low, self.high, self.steps)
+        except (MemoryError, ValueError):  # ValueError: more steps than an array can index
+            message = f"scan axis {self.path!r}: a grid of {self.steps} steps is too large to allocate"
+            raise ConfigError(message) from None
 
 
 def scan_axes(cfg: dict) -> list[ScanAxis]:

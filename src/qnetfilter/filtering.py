@@ -40,7 +40,10 @@ class FilterAnnihilatesState(ValueError):
 
 
 def _check_eps(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}") from None
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return value
@@ -61,8 +64,12 @@ class NetworkFilterSpec:
     def __post_init__(self) -> None:
         _check_eps("eps_first", self.eps_first)
         _check_eps("eps_last", self.eps_last)
+        try:
+            pairs = tuple(self.middle)
+        except TypeError:
+            raise ValueError(f"middle must be a sequence of strength pairs, got {self.middle!r}") from None
         normalised = []
-        for i, pair in enumerate(self.middle):
+        for i, pair in enumerate(pairs):
             try:
                 eps1, eps2 = pair
             except (TypeError, ValueError):

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     ID2,
@@ -46,6 +45,7 @@ from .filtering import (
     filter_network,
     filtered_bell_diagonal,
 )
+from .solvers import minimize
 
 __all__ = [
     "DimensionTooLarge",
@@ -250,7 +250,7 @@ def maximize_lhs(
         _, form = canonical_frame(link)
         tensors.append(tuple(tuple(float(e) for e in row) for row in form.W))
 
-    def negative_lhs(angles: np.ndarray) -> float:
+    def negative_lhs(angles: list[float]) -> float:
         m0, m1, n0, n1 = _angles_to_vectors(angles)
         return -_lhs_core(tensors, m0, m1, n0, n1)
 
@@ -273,7 +273,7 @@ def maximize_lhs(
     return float(-lowest), MeasurementSettings(m0=m0, m1=m1, n0=n0, n1=n1)
 
 
-def nelder_mead(objective, starts, bounds) -> tuple[float, np.ndarray]:
+def nelder_mead(objective, starts, bounds) -> tuple[float, list[float]]:
     """Minimise ``objective`` by Nelder--Mead from every start and keep the best.
 
     ``bounds`` is a list of (lo, hi) pairs or None.  Returns the lowest value
@@ -282,13 +282,7 @@ def nelder_mead(objective, starts, bounds) -> tuple[float, np.ndarray]:
     lowest = np.inf
     best_x = starts[0]
     for x0 in starts:
-        result = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000, "maxfev": 4000},
-        )
+        result = minimize(objective, x0, bounds)
         if result.fun < lowest:
             lowest = result.fun
             best_x = result.x

@@ -6,7 +6,11 @@ import csv
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -673,6 +677,21 @@ def test_threshold_ignores_an_enormous_steps(tmp_path, capsys, no_linspace):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("error", [MemoryError, ValueError], ids=["memory", "size"])
+def test_scan_with_a_grid_too_large_to_allocate_is_a_config_error(tmp_path, capsys, monkeypatch, error):
+    # numpy refuses such a grid with MemoryError, or with ValueError past the largest array it can
+    # index; the refusal is simulated, so no test allocates a grid of 10^11 steps.
+    def refuse(*args, **kwargs):
+        raise error("grid too large")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    code, out, err = _run(capsys, "scan", "--config", _write(tmp_path, _bitflip_threshold_config(10**11)))
+    assert (code, out) == (2, "")
+    assert err == (
+        "config error: scan axis 'channels.0.param': a grid of 100000000000 steps is too large to allocate\n"
+    )
+
+
 @pytest.mark.parametrize("endpoint", [0, 1], ids=["min", "max"])
 def test_threshold_at_an_exact_root_endpoint_prints_that_endpoint(tmp_path, capsys, monkeypatch, endpoint):
     # A natural config gives no exact root, so b_seq is replaced by one that is exactly 1.0 at
@@ -710,6 +729,29 @@ def test_annihilating_filter_exits_with_code_3(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # optimize
 # ---------------------------------------------------------------------------
+
+
+def test_threshold_and_optimize_run_without_scipy(tmp_path, capsys):
+    # scipy is only the tests' reference: with its import blocked, the package imports and both searches run.
+    threshold = ["threshold", "--config", _write(tmp_path, _bitflip_threshold_config(), "threshold.json"),
+                 "--axis", "channels.0.param", "--target", "b_lin"]
+    optimize = ["optimize", "--config", _write(tmp_path, _example_config(), "optimize.json"),
+                "--free", "filters.middle.0.0"]
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import qnetfilter\n"
+        "from qnetfilter.cli import main\n"
+        f"assert main({threshold!r}) == 0\n"
+        f"assert main({optimize!r}) == 0\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    expected = [_run(capsys, *argv) for argv in (threshold, optimize)]
+    assert proc.stdout == "".join(out for _, out, _ in expected)
 
 
 def test_optimize_without_free_paths_is_an_eval(tmp_path, capsys):

@@ -159,6 +159,22 @@ class TestFilterNetwork:
         with pytest.raises(ValueError, match=rf"middle\[{index}\] must be a pair of two strengths"):
             NetworkFilterSpec(middle=middle)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"middle": 0.5}, "middle must be a sequence of strength pairs, got 0.5"),
+            ({"middle": None}, "middle must be a sequence of strength pairs, got None"),
+            ({"eps_first": None}, "eps_first must be a number in [0, 1], got None"),
+            ({"eps_last": "high"}, "eps_last must be a number in [0, 1], got 'high'"),
+            ({"middle": ((0.5, None),)}, "middle[0][1] must be a number in [0, 1], got None"),
+        ],
+        ids=["middle-scalar", "middle-none", "first-none", "last-string", "pair-none"],
+    )
+    def test_rejects_a_field_that_is_not_a_strength(self, fields, message) -> None:
+        with pytest.raises(ValueError) as caught:
+            NetworkFilterSpec(**fields)
+        assert str(caught.value) == message
+
     def test_rejects_short_chain(self) -> None:
         with pytest.raises(ValueError, match="a chain needs at least 2 links, got 1"):
             filter_network([np.eye(4) / 4.0], NetworkFilterSpec(middle=()))

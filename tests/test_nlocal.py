@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy.optimize import bisect as scipy_bisect
+from scipy.optimize import minimize as scipy_minimize
 
 from qnetfilter import (
     DimensionTooLarge,
@@ -17,6 +20,7 @@ from qnetfilter import (
     NotPositive,
     b_lin,
     b_seq,
+    bisect,
     born_distribution,
     born_oracle,
     canonical_frame,
@@ -33,6 +37,9 @@ from qnetfilter import (
     werner_state,
     x_state,
 )
+from qnetfilter import nlocal
+from qnetfilter.config import network_factory
+from qnetfilter.solvers import MAXFEV, minimize
 
 SINGLET = werner_state(1.0)
 
@@ -377,6 +384,155 @@ class TestMaximizeLhs:
         first, _ = maximize_lhs(spec, seed=4)
         second, _ = maximize_lhs(spec, seed=4)
         assert first == second
+
+
+# scipy is the reference for the package's own Nelder--Mead and bisection:
+# both must return scipy's floats bit for bit, and take as many evaluations.
+SCIPY_NELDER_MEAD = {"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000, "maxfev": 4000}
+
+
+def _bits(values) -> list[str]:
+    """Floats as hex strings: equal only bit for bit, with signed zeros told apart and NaNs equal."""
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def assert_minimize_matches_scipy(objective, x0, bounds=None):
+    ours = minimize(objective, x0, bounds)
+    with np.errstate(all="ignore"):  # a diverging simplex overflows inside scipy's array arithmetic
+        theirs = scipy_minimize(
+            objective, np.array(x0, dtype=float), method="Nelder-Mead", bounds=bounds, options=SCIPY_NELDER_MEAD
+        )
+    assert (_bits(ours.x), _bits(ours.fun), ours.nfev, ours.success) == (
+        _bits(theirs.x), _bits(theirs.fun), theirs.nfev, theirs.success
+    )
+    return ours
+
+
+def _box_objective(x) -> float:
+    # The minimum lies outside the unit box, so trial points are clipped onto its edges.
+    return (x[0] - 1.3) ** 2 + (x[1] + 0.2) ** 2 + 0.5 * x[0] * x[1]
+
+
+class TestSolversMatchScipy:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_maximize_lhs_runs_match(self, monkeypatch, n) -> None:
+        runs = []
+
+        def paired(objective, x0, bounds):
+            runs.append(assert_minimize_matches_scipy(objective, x0, bounds))
+            return runs[-1]
+
+        monkeypatch.setattr(nlocal, "minimize", paired)
+        rng = np.random.default_rng(170 + n)
+        for seed in range(2):
+            spec = NetworkSpec(
+                links=tuple(random_density(rng) for _ in range(n)),
+                filters=NetworkFilterSpec(middle=((0.8, 0.6),) * (n - 1), eps_first=0.9, eps_last=0.7),
+            )
+            maximize_lhs(spec, seed=seed, restarts=2)
+        assert len(runs) == 2 * 3
+
+    @pytest.mark.parametrize(
+        "x0",
+        [[1.0, 1.0], [0.99, 0.0], [0.0, 0.0], [0.999, 0.98]],
+        ids=["on-upper", "near-upper-and-zero", "on-lower", "near-upper"],
+    )
+    def test_bounded_runs_match(self, x0) -> None:
+        # A 5% step from a start on or near an upper bound leaves the box: the first simplex is reflected.
+        result = assert_minimize_matches_scipy(_box_objective, x0, [(0.0, 1.0), (0.0, 1.0)])
+        assert result.success and result.x == [1.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "objective",
+        [lambda x: 1.0, lambda x: (x[0] - 0.3) ** 2],
+        ids=["constant", "one-coordinate"],
+    )
+    def test_tied_values_sort_as_scipy(self, objective) -> None:
+        # Vertices that differ only in coordinates the objective ignores tie; np.argsort may reorder
+        # ties (it does with AVX-512), and the port must follow it.
+        result = assert_minimize_matches_scipy(objective, [0.7, -0.4, 0.2, 0.9, -0.6, 0.1, 0.5, 0.0])
+        assert result.success
+
+    def test_diverging_run_stops_at_maxfev_as_scipy(self) -> None:
+        # Unbounded below: the simplex expands until it overflows, and the evaluation cap ends the run mid-iteration.
+        result = assert_minimize_matches_scipy(lambda x: x[0] + 2.0 * x[1], [0.1, 0.2])
+        assert (result.success, result.nfev, result.fun) == (False, MAXFEV, -math.inf)
+
+    def test_nan_values_match(self) -> None:
+        # A NaN value fails every comparison, so the simplex only shrinks, the value test never passes
+        # and the run ends at the evaluation cap; scipy reports fun as np.min over the values, NaN.
+        result = assert_minimize_matches_scipy(lambda x: math.nan, [0.5, 0.5])
+        assert (result.success, result.nfev, math.isnan(result.fun)) == (False, MAXFEV, True)
+
+    def test_rugged_objective_matches(self) -> None:
+        assert_minimize_matches_scipy(
+            lambda x: math.sin(1e3 * x[0]) * math.cos(7e2 * x[1]) + 1e-3 * (x[0] ** 2 + x[1] ** 2), [0.4, -0.3]
+        )
+
+    @pytest.mark.parametrize(
+        "cfg, lo, hi",
+        [
+            (
+                {
+                    "links": [{"family": "pure_theta", "theta": 0.62}, {"family": "pure_theta", "theta": 0.62}],
+                    "channels": [
+                        {"link": 1, "type": "bit_flip", "param": 0.0},
+                        {"link": 2, "type": "bit_flip", "param": 0.15},
+                    ],
+                    "filters": {"middle": [[0.98, 0.79]]},
+                },
+                0.0,
+                0.4,
+            ),
+            (
+                {
+                    "links": [{"family": "pure_theta", "theta": 0.55}, {"family": "pure_theta", "theta": 0.55}],
+                    "channels": [
+                        {"link": 1, "type": "amplitude_damping", "param": 0.21},
+                        {"link": 2, "type": "amplitude_damping", "param": 0.0},
+                    ],
+                    "filters": {"first": 0.78, "last": 0.79, "middle": [[0.22, 0.1]]},
+                },
+                0.0,
+                0.9,
+            ),
+        ],
+        ids=["bit-flip", "damping"],
+    )
+    def test_threshold_bisections_match(self, cfg, lo, hi) -> None:
+        path = "channels.0.param" if cfg["channels"][0]["type"] == "bit_flip" else "channels.1.param"
+        build = network_factory(cfg, [path])
+        objectives = {
+            "b_lin": lambda value: b_lin(build((value,)).links) - 1.0,
+            "b_seq": lambda value: b_seq(build((value,)))[0] - 1.0,
+        }
+        # Shifted to be exactly 0 at one endpoint: both return that endpoint without a halving.
+        objectives["zero-at-lo"] = lambda value, f=objectives["b_seq"], f_lo=objectives["b_seq"](lo): f(value) - f_lo
+        objectives["zero-at-hi"] = lambda value, f=objectives["b_seq"], f_hi=objectives["b_seq"](hi): f(value) - f_hi
+        for name, objective in objectives.items():
+            expected = scipy_bisect(objective, lo, hi, xtol=1e-4)
+            given = bisect(objective, lo, hi, xtol=1e-4, f_a=objective(lo), f_b=objective(hi))
+            assert _bits([bisect(objective, lo, hi, xtol=1e-4), given]) == _bits([expected] * 2), name
+        assert scipy_bisect(objectives["zero-at-lo"], lo, hi, xtol=1e-4) == lo
+        assert scipy_bisect(objectives["zero-at-hi"], lo, hi, xtol=1e-4) == hi
+
+    @pytest.mark.parametrize(
+        "f, a, b, xtol",
+        [
+            (lambda x: x - 0.25, 0.0, 1.0, 2e-12),
+            (math.cos, 0.0, 3.0, 2e-12),
+            (lambda x: x**3 - 2.0, 2.0, -1.0, 2e-12),
+            (math.cos, 0.0, 3.0, 1e-300),
+        ],
+        ids=["exact-midpoint-root", "cos", "reversed-bracket", "relative-tolerance"],
+    )
+    def test_bisect_matches(self, f, a, b, xtol) -> None:
+        assert _bits([bisect(f, a, b, xtol=xtol)]) == _bits([scipy_bisect(f, a, b, xtol=xtol)])
+
+    def test_bisect_rejects_a_bracket_without_a_sign_change(self) -> None:
+        for solver in (bisect, scipy_bisect):
+            with pytest.raises(ValueError, match="different signs"):
+                solver(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 # The dense Born-rule enumeration that the link-by-link contraction replaced:
