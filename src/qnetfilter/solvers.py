@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,14 +63,14 @@ def _clip(value: float, low: float, high: float) -> float:
     return value if value < high else high
 
 
-def _order(values: list[float]) -> tuple[list[int], bool]:
-    """The indices that sort ``values`` as ``np.argsort`` does, and whether the sorted values strictly increase."""
+def _order(values: list[float]) -> list[int]:
+    """The indices that sort ``values`` as ``np.argsort`` does."""
     order = sorted(range(len(values)), key=values.__getitem__)
     ranked = [values[i] for i in order]
     if all(map(operator.lt, ranked, ranked[1:])):
-        return order, True
+        return order
     # A tie or a NaN: np.argsort's quicksort is not stable, so only it gives its own order.
-    return np.argsort(values).tolist(), False
+    return np.argsort(values).tolist()
 
 
 def minimize(objective, x0, bounds=None) -> MinimizeResult:
@@ -121,12 +120,11 @@ def minimize(objective, x0, bounds=None) -> MinimizeResult:
     except _TooManyEvaluations:
         pass
     for _ in range(2):  # scipy sorts the first simplex twice, which can reorder ties
-        order, increasing = _order(fsim)
+        order = _order(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
 
     iterations = 1
     while nfev < MAXFEV and iterations < MAXITER:
-        worst_only = False  # whether the iteration ended by replacing just the worst vertex
         try:
             best = sim[0]
             # fsim is sorted with any NaN last, so fsim[-1] - fsim[0] is its largest distance
@@ -170,20 +168,10 @@ def minimize(objective, x0, bounds=None) -> MinimizeResult:
                     vertex = [b + SHRINK * (v - b) for b, v in zip(best, sim[j])]
                     sim[j] = vertex if bounds is None else clip(vertex)
                     fsim[j] = evaluate(sim[j])
-            worst_only = not shrink
             iterations += 1
         except _TooManyEvaluations:
             pass  # a vertex moved by the shrink keeps its old value, as in scipy
-        if worst_only and increasing:
-            # The other values are strictly increasing: a new value that ties none of them and is
-            # not NaN has one place, the one np.argsort gives it.
-            value = fsim[-1]
-            place = bisect_left(fsim, value, 0, n)
-            if value == value and (place == n or fsim[place] != value):
-                sim.insert(place, sim.pop())
-                fsim.insert(place, fsim.pop())
-                continue
-        order, increasing = _order(fsim)
+        order = _order(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
 
     return MinimizeResult(
