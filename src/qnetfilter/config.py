@@ -155,7 +155,9 @@ def _number(value: object, where: str) -> float | int:
 
 
 def _check_numbers(vector: object, where: str) -> None:
-    """Check each entry of a (nested) JSON array with ``_number``; shapes and non-arrays are checked downstream."""
+    """Check a JSON number, or each entry of a nested JSON array, with ``_number``; the rest is checked downstream."""
+    if _is_json_number(vector, (int, float)):
+        _number(vector, where)
     for k, item in enumerate(vector if isinstance(vector, list) else ()):
         if isinstance(item, list):
             _check_numbers(item, f"{where}.{k}")

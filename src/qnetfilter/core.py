@@ -69,11 +69,9 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
 
     Raises ValueError for non-finite entries, then NotHermitian / NotUnitTrace /
     NotPositive with the measured deviation in the message, in that order.  A
-    stack raises what checking its matrices one by one would raise first.
+    stack is checked in one pass and raises its first failing matrix's error.
     """
     mat = np.asarray(rho, dtype=complex)
-    if mat.ndim == 2:  # one matrix: the single-matrix checks are cheaper than the stack reductions
-        return _validate_matrix(mat)
     if mat.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
     # Whole-stack reductions; NaN fails every comparison, and eigvalsh runs only on finite input.
@@ -83,28 +81,30 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     if valid and mat.size:
         valid = np.linalg.eigvalsh(0.5 * (mat + adjoint))[..., 0].min() >= -POSITIVITY_ATOL
     if not valid:
-        for index in np.ndindex(mat.shape[:-2]):
-            _validate_matrix(mat[index])
+        raise _first_failure(mat)[1]
     return mat
 
 
-def _validate_matrix(mat: np.ndarray) -> np.ndarray:
-    """``validate_density`` for one complex matrix."""
-    if mat.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-    herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-    # Any NaN or inf entry makes herm_dev non-finite; the comparisons below would pass NaN.
-    if not math.isfinite(herm_dev):
-        raise ValueError("matrix entries are not finite")
-    if herm_dev > HERMITICITY_ATOL:
-        raise NotHermitian(f"hermiticity deviation {herm_dev:.3e} exceeds {HERMITICITY_ATOL:.0e}")
-    trace_dev = abs(complex(mat.trace()) - 1.0)
-    if trace_dev > TRACE_ATOL:
-        raise NotUnitTrace(f"trace deviation {trace_dev:.3e} exceeds {TRACE_ATOL:.0e}")
-    eigmin = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
-    if eigmin < -POSITIVITY_ATOL:
-        raise NotPositive(f"minimum eigenvalue {eigmin:.3e} below -{POSITIVITY_ATOL:.0e}")
-    return mat
+def _first_failure(mat: np.ndarray) -> tuple[tuple[int, ...], ValueError] | None:
+    """The C-order index of the first failing matrix of a complex ``(..., 4, 4)`` stack and its error, or None."""
+    adjoint = mat.swapaxes(-1, -2).conj()
+    herm_dev = np.abs(mat - adjoint).max(axis=(-2, -1))
+    trace_dev = np.abs(mat.trace(axis1=-2, axis2=-1) - 1.0)
+    # A non-finite entry makes herm_dev non-finite, and NaN fails both comparisons.
+    checked = (herm_dev <= HERMITICITY_ATOL) & (trace_dev <= TRACE_ATOL)
+    eigmin = np.zeros(mat.shape[:-2])
+    eigmin[checked] = np.linalg.eigvalsh(0.5 * (mat + adjoint)[checked])[..., 0]
+    failing = np.argwhere(~checked | (eigmin < -POSITIVITY_ATOL))
+    if not len(failing):
+        return None
+    index = tuple(failing[0])
+    if not math.isfinite(herm_dev[index]):
+        return index, ValueError("matrix entries are not finite")
+    if herm_dev[index] > HERMITICITY_ATOL:
+        return index, NotHermitian(f"hermiticity deviation {herm_dev[index]:.3e} exceeds {HERMITICITY_ATOL:.0e}")
+    if trace_dev[index] > TRACE_ATOL:
+        return index, NotUnitTrace(f"trace deviation {trace_dev[index]:.3e} exceeds {TRACE_ATOL:.0e}")
+    return index, NotPositive(f"minimum eigenvalue {eigmin[index]:.3e} below -{POSITIVITY_ATOL:.0e}")
 
 
 def _pauli_products() -> np.ndarray:

@@ -14,14 +14,13 @@ intermediate party, and link j is filtered with a left and a right strength.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NotPositive, validate_density
+from .core import _first_failure, validate_density
 
 __all__ = [
     "FilterAnnihilatesState",
@@ -93,11 +92,11 @@ def _check_chain(n_links: int, spec: NetworkFilterSpec | None = None) -> None:
         )
 
 
-def _check_success(success: float) -> float:
-    """Return a post-selection success probability; FilterAnnihilatesState if it is at or below ANNIHILATION_ATOL."""
+def _check_success(success: float, where: str = "") -> float:
+    """Return a success probability; FilterAnnihilatesState, after ``where``, at or below ANNIHILATION_ATOL."""
     if success <= ANNIHILATION_ATOL:
         raise FilterAnnihilatesState(
-            f"post-selection success probability {success:.3e} is at or below {ANNIHILATION_ATOL:.0e}"
+            f"{where}post-selection success probability {success:.3e} is at or below {ANNIHILATION_ATOL:.0e}"
         )
     return success
 
@@ -139,8 +138,8 @@ def filter_network(states: np.ndarray | list[np.ndarray], spec: NetworkFilterSpe
     Link j takes entries 2j and 2j+1 of (eps_first, *middle pairs, eps_last).  The
     overall success probability is the product of the per-link traces.  Links
     with the identity filter pass unchanged; the others are filtered as one stack
-    and validated in one call.  Annihilation and positivity errors are re-raised
-    with the 1-based link index, for the first link that fails.
+    and validated in one call, whose error names the first link (1-based) that
+    annihilates or whose filtered state fails validation (``link k: filtered state has``).
     """
     n_links = len(states)
     _check_chain(n_links, spec)
@@ -148,22 +147,23 @@ def filter_network(states: np.ndarray | list[np.ndarray], spec: NetworkFilterSpe
     filtered = np.array(states, dtype=complex)
     active = np.flatnonzero((eps != 1.0).any(axis=1))
     scaled, success = _rescale(filtered[active], eps[active])
-    outputs = None
-    if (success > ANNIHILATION_ATOL).all():
-        with contextlib.suppress(ValueError):
-            outputs = validate_density(scaled / success[:, None, None])
-    if outputs is None:
-        # A link annihilated or failed validation: filter link by link, so the first failure raises as it would alone.
-        for index in active:
-            try:
-                apply_link_filter(filtered[index], *eps[index])
-            except FilterAnnihilatesState as exc:
-                raise FilterAnnihilatesState(f"link {index + 1}: {exc}") from None
-            except NotPositive as exc:
-                raise NotPositive(f"link {index + 1}: filtered state has {exc}") from None
-    filtered[active] = outputs
-    # An identity link's success is exactly 1, so the product over the active links is the chain's.
-    return filtered, math.prod(success.tolist(), start=1.0)
+    alive = ~(success <= ANNIHILATION_ATOL)  # a NaN success is not annihilation, as in _check_success
+    outputs = scaled[alive] / success[alive, None, None]
+    if alive.all():
+        try:
+            filtered[active] = validate_density(outputs)
+        except ValueError:
+            pass
+        else:
+            # An identity link's success is exactly 1, so the product over the active links is the chain's.
+            return filtered, math.prod(success.tolist(), start=1.0)
+    # The first failing link; annihilated outputs are not validated, so no link fails both ways.
+    failure = _first_failure(outputs)
+    dead = np.flatnonzero(~alive)
+    if failure is None or (dead.size and dead[0] < np.flatnonzero(alive)[failure[0][0]]):
+        _check_success(success[dead[0]], f"link {active[dead[0]] + 1}: ")  # raises
+    (position,), error = failure
+    raise type(error)(f"link {active[alive][position] + 1}: filtered state has {error}")
 
 
 def filtered_bell_diagonal(

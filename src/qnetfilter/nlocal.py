@@ -31,7 +31,6 @@ from .core import (
     PAULIS,
     _bloch_form,
     _quaternion_unitary,
-    _validate_matrix,
     bloch_decompose,
     canonical_frame,
     from_bloch,
@@ -77,23 +76,19 @@ class DimensionTooLarge(ValueError):
 class NetworkSpec:
     """A chain of link states plus the per-party filter strengths.
 
-    ``links`` takes any sequence of 4x4 density matrices and holds them, validated,
-    as a read-only ``(n, 4, 4)`` complex array.
+    ``links`` takes any sequence of 4x4 density matrices and holds them, validated
+    in one pass that names the first bad link, as a read-only ``(n, 4, 4)`` complex array.
     """
 
     links: np.ndarray
     filters: NetworkFilterSpec | None = None
 
     def __post_init__(self) -> None:
-        try:
-            links = np.array(self.links, dtype=complex)
-        except (ValueError, TypeError):
-            links = None
-        if links is None or links.shape[1:] != (4, 4):
-            # Not a stack of 4x4 matrices: check link by link, so the error names the first bad link's shape.
-            links = np.array([_validate_matrix(np.asarray(link, dtype=complex)) for link in self.links])
-        else:
-            validate_density(links)
+        # Validate the links before the first one that is not a 4x4 matrix as one stack, then reject that one.
+        n_matrices = next((k for k, link in enumerate(self.links) if np.shape(link) != (4, 4)), len(self.links))
+        links = validate_density(np.array(self.links[:n_matrices], dtype=complex).reshape(-1, 4, 4))
+        if n_matrices < len(self.links):
+            raise ValueError(f"expected a 4x4 matrix, got shape {np.shape(self.links[n_matrices])}")
         filters = NetworkFilterSpec.identity(len(links)) if self.filters is None else self.filters
         _check_chain(len(links), filters)
         links.flags.writeable = False

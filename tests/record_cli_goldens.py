@@ -55,6 +55,24 @@ _BITFLIP_THRESHOLD = {
     "filters": {"middle": [[0.98, 0.79]]},
     "scan": {"axes": [{"path": "channels.0.param", "min": 0.0, "max": 0.4, "steps": 2}]},
 }
+
+
+def _explicit(diagonal, entry=None):
+    """An ``explicit`` link: ``diagonal`` on the diagonal, plus ``entry`` ((row, col), value) if given."""
+    matrix = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]
+    for k, value in enumerate(diagonal):
+        matrix[k][k][0] = value
+    if entry is not None:
+        (row, col), value = entry
+        matrix[row][col][0] = value
+    return {"family": "explicit", "matrix": matrix}
+
+
+# A valid link whose 5e-11 at [1][3] the filter diag(1e-4, 1e-4, 1, 1) amplifies to a
+# Hermiticity deviation of 5e-7, and one whose -9e-10 eigenvalue it amplifies to about -0.22.
+_SKEWED = _explicit([0.5, 0.5, 0.0, 0.0], ((1, 3), 5e-11))
+_BARELY_VALID = _explicit([0.5, 0.25, 0.25 + 9e-10, -9e-10])
+_WERNER_ONE = {"family": "werner", "p": 1.0}
 _REPRODUCE_IDS = (
     "bilocal-grud",
     "bilocal-grud-allfilter",
@@ -91,6 +109,13 @@ CASES = [
     ("optimize-no-free", _EXAMPLE, ["optimize", "--config", "{config}", "--free", ""]),
     ("oracle-settings", dict(_EXAMPLE, settings=_SETTINGS), ["oracle", "--config", "{config}"]),
     ("oracle-seed", dict(_EXAMPLE, seed=11), ["oracle", "--config", "{config}"]),
+    ("eval-filtered-hermiticity-link1", {"links": [_SKEWED, _WERNER_ONE], "filters": {"first": 1e-4}},
+     ["eval", "--config", "{config}"]),
+    ("eval-filtered-hermiticity-link2", {"links": [_WERNER_ONE, _SKEWED], "filters": {"middle": [[1.0, 1e-4]]}},
+     ["eval", "--config", "{config}"]),
+    ("eval-filtered-negative-eigenvalue",
+     {"links": [_BARELY_VALID, _WERNER_ONE], "filters": {"first": 1e-4, "middle": [[1e-4, 1.0]]}},
+     ["eval", "--config", "{config}"]),
     *((f"reproduce-{name}", None, ["reproduce", name]) for name in _REPRODUCE_IDS),
 ]
 

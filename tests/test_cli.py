@@ -246,6 +246,12 @@ def _channel_config(**channel):
             dict(_example_config(), settings=dict(SETTINGS, m0=[0, 0, 10**400])),
             "settings.m0.2 is too large for a float",
         ),
+        ("eval", dict(_example_config(), settings=dict(SETTINGS, m0=10**400)), "settings.m0 is too large for a float"),
+        (
+            "eval",
+            _link_config({"family": "product", "m": 10**400, "n": [0, 0, 1]}),
+            "links.0.m is too large for a float",
+        ),
         ("scan", _one_axis_config(max=10**400), "scan.axes.0.max is too large for a float"),
         ("eval", _link_config({"family": ["grud"]}), "links.0.family: unknown family ['grud']"),
         ("oracle", _link_config({"family": {"name": "grud"}}), "links.0.family: unknown family {'name': 'grud'}"),
@@ -279,7 +285,8 @@ def _channel_config(**channel):
         "scan-path-int", "threshold-path-int", "scan-steps-true", "scan-not-object",
         "eval-settings-string", "oracle-settings-ragged", "eval-link-true", "oracle-seed-true",
         "eval-v-true", "eval-x-null", "eval-p-true", "eval-product-string", "eval-param-true",
-        "eval-first-string", "eval-middle-true", "eval-first-huge", "oracle-settings-huge", "scan-max-huge",
+        "eval-first-string", "eval-middle-true", "eval-first-huge", "oracle-settings-huge",
+        "eval-settings-bare-huge", "eval-product-bare-huge", "scan-max-huge",
         "eval-family-array", "oracle-family-object", "eval-type-object", "eval-type-array", "eval-n-float",
         "eval-explicit-true", "eval-explicit-string", "scan-repeated-path", "scan-repeated-index-spelling",
         "scan-axes-overlap-by-prefix",
@@ -317,6 +324,21 @@ def test_strong_filter_on_a_barely_valid_link_is_a_config_error(tmp_path, capsys
     assert out == ""
     assert err.startswith("config error: link 1: filtered state has minimum eigenvalue")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("position", [1, 2])
+def test_filtered_link_that_fails_validation_is_named(tmp_path, capsys, position):
+    # A valid link, 5e-11 off Hermitian, that the filter diag(1e-4, 1e-4, 1, 1) makes
+    # 5e-7 off Hermitian after renormalising; its Werner partner is not filtered.
+    link = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    link[1, 3] = 5e-11
+    links = [{"family": "werner", "p": 1.0}] * 2
+    links[position - 1] = {"family": "explicit", "matrix": matrix_to_pairs(link)}
+    filters = {"first": 1e-4} if position == 1 else {"middle": [[1.0, 1e-4]]}
+    code, out, err = _run(capsys, "eval", "--config", _write(tmp_path, {"links": links, "filters": filters}))
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: link {position}: filtered state has hermiticity deviation 5.000e-07 exceeds 1e-09\n"
 
 
 def test_imaginary_decomposition_coefficient_is_a_config_error(tmp_path, capsys):

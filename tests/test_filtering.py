@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -219,7 +221,16 @@ class TestFilterNetwork:
         assert type(caught.value) is error
         assert str(caught.value) == message
 
-    def test_filtered_links_are_validated_in_one_call(self, monkeypatch) -> None:
+    @pytest.mark.parametrize(
+        "middle, expected, annihilated",
+        [
+            (((0.5, 1.0), (1.0, 1.0), (0.8, 0.95)), [(3, 4, 4)], False),
+            # Link 2 filters |00><00| with a 0 on its first qubit.
+            (((0.5, 0.0), (0.8, 0.95)), [], True),
+        ],
+        ids=["four-links", "link-2-of-3-annihilates"],
+    )
+    def test_filtered_links_are_validated_in_one_call(self, monkeypatch, middle, expected, annihilated) -> None:
         calls = []
 
         def counted(rho):
@@ -227,11 +238,14 @@ class TestFilterNetwork:
             return validate_density(rho)
 
         monkeypatch.setattr("qnetfilter.filtering.validate_density", counted)
+        monkeypatch.setattr("qnetfilter.filtering.apply_link_filter", lambda *args: calls.append("apply_link_filter"))
         rng = np.random.default_rng(73)
-        states = [random_density(rng) for _ in range(4)]
-        spec = NetworkFilterSpec(eps_first=0.7, eps_last=0.9, middle=((0.5, 1.0), (1.0, 1.0), (0.8, 0.95)))
-        filter_network(states, spec)
-        assert calls == [(3, 4, 4)]
+        states = [random_density(rng) for _ in range(len(middle) + 1)]
+        states[1] = GROUND
+        spec = NetworkFilterSpec(eps_first=0.7, eps_last=0.9, middle=middle)
+        with pytest.raises(FilterAnnihilatesState, match="link 2:") if annihilated else contextlib.nullcontext():
+            filter_network(states, spec)
+        assert calls == expected
 
     def test_identity_links_pass_unchanged_among_filtered_ones(self) -> None:
         rng = np.random.default_rng(61)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -98,7 +99,15 @@ class TestSpecTypes:
         with pytest.raises(ValueError, match=r"expected a 4x4 matrix, got shape \(1, 4, 4\)"):
             NetworkSpec(links=(SINGLET[None], SINGLET[None]))
 
-    def test_network_validates_its_links_in_one_call(self, monkeypatch) -> None:
+    @pytest.mark.parametrize(
+        "links, expected, shape",
+        [
+            ([SINGLET, np.eye(4) / 4.0, SINGLET], [(3, 4, 4)], None),
+            ([SINGLET, np.eye(4) / 4.0, np.eye(3) / 3.0, NOT_POSITIVE], [(2, 4, 4)], r"\(3, 3\)"),
+        ],
+        ids=["stack", "ragged"],
+    )
+    def test_network_validates_its_links_in_one_call(self, monkeypatch, links, expected, shape) -> None:
         calls = []
 
         def counted(rho):
@@ -106,8 +115,9 @@ class TestSpecTypes:
             return validate_density(rho)
 
         monkeypatch.setattr("qnetfilter.nlocal.validate_density", counted)
-        NetworkSpec(links=[SINGLET, np.eye(4) / 4.0, SINGLET])
-        assert calls == [(3, 4, 4)]
+        with pytest.raises(ValueError, match=f"got shape {shape}") if shape else contextlib.nullcontext():
+            NetworkSpec(links=links)
+        assert calls == expected
 
     def test_network_needs_two_links(self) -> None:
         with pytest.raises(ValueError, match="at least 2 links"):
