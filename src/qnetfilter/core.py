@@ -75,9 +75,10 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     if mat.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
     # Whole-stack reductions; NaN fails every comparison, and eigvalsh runs only on finite input.
+    # The builtin abs is cheaper than np.abs on the scalar trace of a single matrix.
     adjoint = mat.swapaxes(-1, -2).conj()
     valid = np.abs(mat - adjoint).max(initial=0.0) <= HERMITICITY_ATOL
-    valid = valid and np.abs(mat.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0) <= TRACE_ATOL
+    valid = valid and abs(mat.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0) <= TRACE_ATOL
     if valid and mat.size:
         valid = np.linalg.eigvalsh(0.5 * (mat + adjoint))[..., 0].min() >= -POSITIVITY_ATOL
     if not valid:
