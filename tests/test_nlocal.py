@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -99,15 +98,7 @@ class TestSpecTypes:
         with pytest.raises(ValueError, match=r"expected a 4x4 matrix, got shape \(1, 4, 4\)"):
             NetworkSpec(links=(SINGLET[None], SINGLET[None]))
 
-    @pytest.mark.parametrize(
-        "links, expected, shape",
-        [
-            ([SINGLET, np.eye(4) / 4.0, SINGLET], [(3, 4, 4)], None),
-            ([SINGLET, np.eye(4) / 4.0, np.eye(3) / 3.0, NOT_POSITIVE], [(2, 4, 4)], r"\(3, 3\)"),
-        ],
-        ids=["stack", "ragged"],
-    )
-    def test_network_validates_its_links_in_one_call(self, monkeypatch, links, expected, shape) -> None:
+    def test_network_validates_its_links_in_one_call(self, monkeypatch) -> None:
         calls = []
 
         def counted(rho):
@@ -115,9 +106,20 @@ class TestSpecTypes:
             return validate_density(rho)
 
         monkeypatch.setattr("qnetfilter.nlocal.validate_density", counted)
-        with pytest.raises(ValueError, match=f"got shape {shape}") if shape else contextlib.nullcontext():
-            NetworkSpec(links=links)
-        assert calls == expected
+        NetworkSpec(links=[SINGLET, np.eye(4) / 4.0, SINGLET])
+        assert calls == [(3, 4, 4)]
+
+    def test_a_ragged_network_validates_its_links_in_one_call(self, monkeypatch) -> None:
+        calls = []
+
+        def counted(rho):
+            calls.append(np.shape(rho))
+            return validate_density(rho)
+
+        monkeypatch.setattr("qnetfilter.nlocal.validate_density", counted)
+        with pytest.raises(ValueError, match=r"got shape \(3, 3\)"):
+            NetworkSpec(links=[SINGLET, np.eye(4) / 4.0, np.eye(3) / 3.0, NOT_POSITIVE])
+        assert calls == [(2, 4, 4)]
 
     def test_network_needs_two_links(self) -> None:
         with pytest.raises(ValueError, match="at least 2 links"):
