@@ -41,10 +41,9 @@ from .config import (
     network_factory,
     scan_axes,
 )
-from .core import NotHermitian, NotPositive, _bloch_form
+from .core import _bloch_form
 from .filtering import FilterAnnihilatesState, NetworkFilterSpec
 from .nlocal import (
-    DimensionTooLarge,
     EvalResult,
     MeasurementSettings,
     NetworkSpec,
@@ -328,9 +327,9 @@ def _theorem1(seed: int, specs: int) -> bool:
             else:
                 links.append(_random_density(rng))
         filters = NetworkFilterSpec(
-            eps_first=float(rng.uniform()),
-            eps_last=float(rng.uniform()),
-            middle=tuple((float(rng.uniform()), float(rng.uniform())) for _ in range(n - 1)),
+            eps_first=rng.uniform(),
+            eps_last=rng.uniform(),
+            middle=tuple((rng.uniform(), rng.uniform()) for _ in range(n - 1)),
         )
         try:
             bound, _ = b_seq(NetworkSpec(links=tuple(links), filters=filters))
@@ -522,18 +521,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; exit 3 on annihilation, 4 on no crossing, 2 on any other ValueError (bad input)."""
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, DimensionTooLarge, NotHermitian, NotPositive) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except FilterAnnihilatesState as exc:
         print(f"annihilated post-selection: {exc}", file=sys.stderr)
         return 3
     except NoCrossing as exc:
         print(f"no crossing: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

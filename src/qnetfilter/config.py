@@ -234,10 +234,10 @@ def build_filter_spec(cfg: dict, n_links: int) -> NetworkFilterSpec:
         raise ConfigError(
             f"filters.middle must have {n_links - 1} pairs for {n_links} links, got {len(middle)}"
         )
-    first = float(_number(block.get("first", 1.0), "filters.first"))
-    last = float(_number(block.get("last", 1.0), "filters.last"))
+    first = _number(block.get("first", 1.0), "filters.first")
+    last = _number(block.get("last", 1.0), "filters.last")
     pairs = tuple(
-        (float(_number(pair[0], f"filters.middle.{i}.0")), float(_number(pair[1], f"filters.middle.{i}.1")))
+        (_number(pair[0], f"filters.middle.{i}.0"), _number(pair[1], f"filters.middle.{i}.1"))
         for i, pair in enumerate(middle)
     )
     try:

@@ -52,8 +52,8 @@ def _check_eps(name: str, value: float) -> float:
 class NetworkFilterSpec:
     """Per-party filter strengths for an n-link chain.
 
-    ``middle`` holds one (eps_on_link_j, eps_on_link_j+1) pair per
-    intermediate party, ordered along the chain; it must have n-1 entries.
+    ``middle`` holds one (eps_on_link_j, eps_on_link_j+1) pair per intermediate
+    party, ordered along the chain, n-1 in all; every strength is stored as a float in [0, 1].
     """
 
     eps_first: float = 1.0
@@ -61,8 +61,8 @@ class NetworkFilterSpec:
     middle: tuple[tuple[float, float], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        _check_eps("eps_first", self.eps_first)
-        _check_eps("eps_last", self.eps_last)
+        object.__setattr__(self, "eps_first", _check_eps("eps_first", self.eps_first))
+        object.__setattr__(self, "eps_last", _check_eps("eps_last", self.eps_last))
         try:
             pairs = tuple(self.middle)
         except TypeError:

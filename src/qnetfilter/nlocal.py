@@ -152,9 +152,9 @@ def _filtered_tensors(spec: NetworkSpec) -> tuple[np.ndarray, float]:
 
 
 def b_lin(links: np.ndarray | tuple[np.ndarray, ...] | list[np.ndarray]) -> float:
-    """Closed-form n-local bound of the unfiltered chain of at least 2 links; validates each link."""
+    """Closed-form n-local bound of the unfiltered chain of at least 2 links; validates the chain as one stack."""
     _check_chain(len(links))
-    return _bound([bloch_decompose(link).W for link in links])
+    return _bound(bloch_decompose(links).W)
 
 
 def b_seq(spec: NetworkSpec) -> tuple[float, float]:

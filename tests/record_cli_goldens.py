@@ -1,4 +1,4 @@
-"""Record the exit code and the SHA-256 of stdout of the CLI's own commands.
+"""Record the exit code, the SHA-256 of stdout and the stderr text of the CLI's own commands.
 
     python3 tests/record_cli_goldens.py
 
@@ -57,11 +57,11 @@ _BITFLIP_THRESHOLD = {
 }
 
 
-def _explicit(diagonal, entry=None):
-    """An ``explicit`` link: ``diagonal`` on the diagonal, plus ``entry`` ((row, col), value) if given."""
+def _explicit(diagonal, entry=None, imag=0.0):
+    """An ``explicit`` link: ``diagonal`` plus ``imag``·i on the diagonal, and ``entry`` ((row, col), value)."""
     matrix = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]
     for k, value in enumerate(diagonal):
-        matrix[k][k][0] = value
+        matrix[k][k] = [value, imag]
     if entry is not None:
         (row, col), value = entry
         matrix[row][col][0] = value
@@ -73,6 +73,9 @@ def _explicit(diagonal, entry=None):
 _SKEWED = _explicit([0.5, 0.5, 0.0, 0.0], ((1, 3), 5e-11))
 _BARELY_VALID = _explicit([0.5, 0.25, 0.25 + 9e-10, -9e-10])
 _WERNER_ONE = {"family": "werner", "p": 1.0}
+# A valid link with 2.4999e-10i on each diagonal entry, which filters near 1 renormalise
+# to a trace deviation of 1.02e-9 while every Hermiticity deviation stays under 1e-9.
+_TRACE_SKEWED = _explicit([1.0, 0.0, 0.0, 0.0], imag=2.4999e-10)
 _REPRODUCE_IDS = (
     "bilocal-grud",
     "bilocal-grud-allfilter",
@@ -116,21 +119,28 @@ CASES = [
     ("eval-filtered-negative-eigenvalue",
      {"links": [_BARELY_VALID, _WERNER_ONE], "filters": {"first": 1e-4, "middle": [[1e-4, 1.0]]}},
      ["eval", "--config", "{config}"]),
+    ("eval-filtered-trace",
+     {"links": [_TRACE_SKEWED, {"family": "werner", "p": 0.5}], "filters": {"first": 0.99, "middle": [[0.99, 1.0]]}},
+     ["eval", "--config", "{config}"]),
     *((f"reproduce-{name}", None, ["reproduce", name]) for name in _REPRODUCE_IDS),
 ]
 
 
-def run_case(config: dict | None, argv: list[str], workdir: Path) -> tuple[int, str]:
-    """Run one case through ``qnetfilter.cli.main``; return its exit code and the SHA-256 of its stdout."""
+def run_case(config: dict | None, argv: list[str], workdir: Path) -> tuple[int, str, str]:
+    """Run one case through ``qnetfilter.cli.main``; return its exit code, the SHA-256 of its stdout and its stderr.
+
+    The config file's path is written ``{config}`` in stderr, as in argv.
+    """
     from qnetfilter.cli import main
 
     path = workdir / "config.json"
     if config is not None:
         path.write_text(json.dumps(config), encoding="utf-8")
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main([arg.replace("{config}", str(path)) for arg in argv])
-    return code, hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    return code, digest, stderr.getvalue().replace(str(path), "{config}")
 
 
 def main() -> int:

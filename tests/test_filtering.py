@@ -175,6 +175,14 @@ class TestFilterNetwork:
             NetworkFilterSpec(**fields)
         assert str(caught.value) == message
 
+    def test_stores_every_strength_as_a_float(self) -> None:
+        spec = NetworkFilterSpec(eps_first="0.5", eps_last=np.float32(0.25), middle=[(1, np.float64(0.97))])
+        strengths = (spec.eps_first, spec.eps_last, *spec.middle[0])
+        assert strengths == (0.5, 0.25, 1.0, 0.97)
+        assert all(type(eps) is float for eps in strengths)
+        _, success = filter_network([np.eye(4) / 4.0, np.eye(4) / 4.0], spec)
+        assert 0.0 < success < 1.0
+
     def test_rejects_short_chain(self) -> None:
         with pytest.raises(ValueError, match="a chain needs at least 2 links, got 1"):
             filter_network([np.eye(4) / 4.0], NetworkFilterSpec(middle=()))

@@ -5,8 +5,8 @@
 tests run a slice of each pool through ``perfbench/workloads.py``, so a change
 that moves one digit fails here, not only in a benchmark run.
 
-``tests/cli_goldens.json`` holds the exit code and the SHA-256 of stdout of
-each CLI case in ``tests/record_cli_goldens.py``, which re-records them.
+``tests/cli_goldens.json`` holds the exit code, the SHA-256 of stdout and the
+stderr text of each CLI case in ``tests/record_cli_goldens.py``, which re-records them.
 """
 
 from __future__ import annotations

@@ -192,6 +192,17 @@ class TestBLin:
         with pytest.raises(ValueError, match=f"^a chain needs at least 2 links, got {n_links}$"):
             b_lin([werner_state(1.0)] * n_links)
 
+    def test_validates_its_chain_in_one_call(self, monkeypatch) -> None:
+        calls = []
+
+        def counted(rho):
+            calls.append(np.shape(rho))
+            return validate_density(rho)
+
+        monkeypatch.setattr("qnetfilter.core.validate_density", counted)
+        b_lin([SINGLET, np.eye(4) / 4.0, SINGLET])
+        assert calls == [(3, 4, 4)]
+
     def test_singlet_pair_reaches_sqrt_two(self) -> None:
         assert b_lin([SINGLET, SINGLET]) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
