@@ -31,7 +31,6 @@ import numpy as np
 from .config import (
     ConfigError,
     ScanAxis,
-    _keys,
     _number,
     build_network,
     build_settings,
@@ -41,13 +40,11 @@ from .config import (
     network_factory,
     scan_axes,
 )
-from .core import _bloch_form
 from .filtering import FilterAnnihilatesState, NetworkFilterSpec
 from .nlocal import (
-    EvalResult,
     MeasurementSettings,
     NetworkSpec,
-    _bound,
+    b_lin,
     b_seq,
     born_oracle,
     conjecture_search,
@@ -81,14 +78,13 @@ def _print_json(payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _eval_payload(result: EvalResult) -> dict:
-    """The result's fields in order; lhs_at_settings only when settings were given."""
-    return {key: value for key, value in dataclasses.asdict(result).items() if value is not None}
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    _print_json(_eval_payload(evaluate(build_network(cfg), build_settings(cfg))))
+    spec, settings = build_network(cfg), build_settings(cfg)
+    payload = dataclasses.asdict(evaluate(spec))
+    if settings is not None:
+        payload["lhs_at_settings"] = lhs_at_settings(spec, settings)
+    _print_json(payload)
     return 0
 
 
@@ -139,7 +135,7 @@ def _threshold(cfg: dict, axis: ScanAxis, target: str) -> float:
 
     def objective(value: float) -> float:
         spec = build((float(value),))
-        bound = _bound(_bloch_form(spec.links).W) if target == "b_lin" else b_seq(spec)[0]
+        bound = b_lin(spec.links) if target == "b_lin" else b_seq(spec)[0]
         return bound - 1.0
 
     lo, hi = axis.low, axis.high
@@ -177,16 +173,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     free = [token.strip() for token in args.free.split(",") if token.strip()]
     seed = _seed(args, cfg)
     start = []
-    seen: dict[tuple[str | int, ...], int] = {}
     for position, path in enumerate(free):
         if not path.startswith("filters."):
             raise ConfigError(f"--free path {path!r} must reference a filter entry")
-        keys = _keys(cfg, path)
-        if keys in seen:
+        if path in free[:position]:
             raise ConfigError(
-                f"--free path {position + 1} ({path!r}) names the same value as --free path {seen[keys] + 1}"
+                f"--free path {position + 1} ({path!r}) names the same value as --free path {free.index(path) + 1}"
             )
-        seen[keys] = position
         value = get_path(cfg, path)
         try:
             start.append(float(_number(value, path)))
@@ -208,7 +201,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     best_x = nelder_mead(negative_b_seq, starts, [(0.0, 1.0)] * len(free))[1] if free else start
     argmax = dict(zip(free, (float(v) for v in best_x)))
     final = evaluate(build(list(argmax.values())))
-    _print_json({"seed": seed, "free": free, "argmax": argmax, "best": _eval_payload(final)})
+    _print_json({"seed": seed, "free": free, "argmax": argmax, "best": dataclasses.asdict(final)})
     return 0
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -325,7 +326,7 @@ def scan_axes(cfg: dict) -> list[ScanAxis]:
     if not isinstance(axes, list) or not 1 <= len(axes) <= 3:
         raise ConfigError("scan.axes must hold between 1 and 3 axes")
     parsed = []
-    seen: dict[tuple[str | int, ...], int] = {}
+    seen: dict[str, int] = {}
     for index, axis in enumerate(axes):
         where = f"scan.axes.{index}"
         _fields(axis, where, ("path", "min", "max", "steps"), ("path", "min", "max"))
@@ -335,11 +336,15 @@ def scan_axes(cfg: dict) -> list[ScanAxis]:
         path = axis["path"]
         if not isinstance(path, str):
             raise ConfigError(f"{where}.path must be a string, got {path!r}")
-        keys = _keys(cfg, path)  # must resolve against the base config
-        if keys in seen:
-            raise ConfigError(f"{where}.path {path!r} names the same value as scan.axes.{seen[keys]}.path")
-        seen[keys] = index
+        _keys(cfg, path)  # must resolve against the base config
+        # _key reads only canonical indices, so two different paths never name the same value.
+        if path in seen:
+            raise ConfigError(f"{where}.path {path!r} names the same value as scan.axes.{seen[path]}.path")
+        seen[path] = index
         low, high = (float(_number(axis[bound], f"{where}.{bound}")) for bound in ("min", "max"))
+        for bound, value in (("min", low), ("max", high)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{where}.{bound} is not finite, got {value}")
         parsed.append(ScanAxis(path=path, low=low, high=high, steps=steps))
     return parsed
 

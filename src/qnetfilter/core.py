@@ -245,8 +245,10 @@ def matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
 
 
 def matrix_from_pairs(data: object) -> np.ndarray:
-    """Rebuild a 4x4 complex matrix from nested [re, im] pairs."""
+    """Rebuild a 4x4 complex matrix from nested [re, im] pairs; non-finite pairs are rejected before any arithmetic."""
     arr = np.asarray(data, dtype=float)
     if arr.shape != (4, 4, 2):
         raise ValueError(f"expected 4x4 [re, im] pairs, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries are not finite")
     return arr[..., 0] + 1.0j * arr[..., 1]

@@ -32,7 +32,6 @@ from .core import (
     _bloch_form,
     _quaternion_unitary,
     bloch_decompose,
-    canonical_frame,
     from_bloch,
     validate_density,
 )
@@ -134,7 +133,6 @@ class EvalResult:
     b_seq: float
     success_prob: float
     violation: bool
-    lhs_at_settings: float | None = None
 
 
 def _bound(tensors: np.ndarray | list[np.ndarray]) -> float:
@@ -154,7 +152,10 @@ def _filtered_tensors(spec: NetworkSpec) -> tuple[np.ndarray, float]:
 def b_lin(links: np.ndarray | tuple[np.ndarray, ...] | list[np.ndarray]) -> float:
     """Closed-form n-local bound of the unfiltered chain of at least 2 links; validates the chain as one stack."""
     _check_chain(len(links))
-    return _bound(bloch_decompose(links).W)
+    stack = np.asarray(links, dtype=complex)
+    if stack.shape[1:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {stack.shape[1:]}")
+    return _bound(bloch_decompose(stack).W)
 
 
 def b_seq(spec: NetworkSpec) -> tuple[float, float]:
@@ -163,21 +164,12 @@ def b_seq(spec: NetworkSpec) -> tuple[float, float]:
     return _bound(tensors), success
 
 
-def evaluate(spec: NetworkSpec, settings: MeasurementSettings | None = None) -> EvalResult:
-    """Evaluate both bounds (and optionally the LHS at fixed settings)."""
+def evaluate(spec: NetworkSpec) -> EvalResult:
+    """Evaluate both bounds, the success probability and the violation flag."""
     unfiltered = _bound(_bloch_form(spec.links).W)
     tensors, success = _filtered_tensors(spec)
     filtered = _bound(tensors)
-    lhs = None
-    if settings is not None:
-        lhs = _lhs_core(tensors, settings.m0, settings.m1, settings.n0, settings.n1)
-    return EvalResult(
-        b_lin=unfiltered,
-        b_seq=filtered,
-        success_prob=success,
-        violation=filtered > 1.0,
-        lhs_at_settings=lhs,
-    )
+    return EvalResult(b_lin=unfiltered, b_seq=filtered, success_prob=success, violation=filtered > 1.0)
 
 
 def _lhs_core(
@@ -233,17 +225,19 @@ def maximize_lhs(
 ) -> tuple[float, MeasurementSettings]:
     """Maximise the inequality LHS over the four end-party directions.
 
-    The chain is first rotated link by link into the canonical frame (which
-    leaves the maximum invariant); the returned settings therefore apply to
-    the canonicalised network.  Nelder--Mead is run from a deterministic warm
-    start at the closed-form optimum plus ``restarts`` seeded random starts,
+    The LHS runs on each filtered link's tensor in the canonical frame,
+    diag(t2, t3, t1) up to the sign of t3 (which leaves the maximum invariant);
+    the returned settings therefore apply to the chain rotated by
+    ``canonical_frame``.  The LHS never reads the t3 entry, so the tensors come
+    from one SVD of the filtered stack.  Nelder--Mead is run from a deterministic
+    warm start at the closed-form optimum plus ``restarts`` seeded random starts,
     and the best value wins (earliest start on ties).
     """
     filtered, _ = filter_network(spec.links, spec.filters)
-    tensors = []
-    for link in filtered:
-        _, form = canonical_frame(link)
-        tensors.append(tuple(tuple(float(e) for e in row) for row in form.W))
+    tensors = [
+        ((t2, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, t1))
+        for t1, t2, _ in np.linalg.svd(_bloch_form(filtered).W, compute_uv=False).tolist()
+    ]
 
     def negative_lhs(angles: list[float]) -> float:
         m0, m1, n0, n1 = _angles_to_vectors(angles)
@@ -253,7 +247,7 @@ def maximize_lhs(
     # sqrt(prod t2 / prod t1) at both ends.
     prod_t1 = float(np.prod([w[2][2] for w in tensors]))
     prod_t2 = float(np.prod([w[0][0] for w in tensors]))
-    alpha = float(np.arctan2(np.sqrt(abs(prod_t2)), np.sqrt(abs(prod_t1))))
+    alpha = float(np.arctan2(np.sqrt(prod_t2), np.sqrt(prod_t1)))
     warm = np.array([alpha, 0.0, alpha, np.pi, alpha, 0.0, alpha, np.pi])
 
     rng = np.random.default_rng(seed)

@@ -145,21 +145,64 @@ def _nan_link_config():
     return {"links": [{"family": "explicit", "matrix": pairs}, {"family": "werner", "p": 0.5}]}
 
 
+def _infinite_link_config(part):
+    """An explicit link with Infinity on the real (``part`` 0) or imaginary (1) part of its first diagonal entry."""
+    pairs = matrix_to_pairs(np.eye(4) / 4.0)
+    pairs[0][0][part] = float("inf")
+    return {"links": [{"family": "explicit", "matrix": pairs}, {"family": "werner", "p": 0.5}]}
+
+
+def _axis_config(path="links.0.v", **bounds):
+    cfg = dict(_example_config(), seed=0)
+    cfg["scan"] = {"axes": [dict({"path": path, "min": 0.0, "max": 1.0, "steps": 3}, **bounds)]}
+    return cfg
+
+
 @pytest.mark.parametrize(
     "command, cfg",
     [
         ("eval", _nan_link_config()),
         ("eval", dict(_example_config(), settings=dict(SETTINGS, m0=[float("nan"), 0, 1]))),
         ("oracle", dict(_example_config(), settings=dict(SETTINGS, m0=[float("nan"), 0, 1]))),
+        ("eval", _infinite_link_config(0)),
+        ("eval", _infinite_link_config(1)),
+        ("scan", _axis_config(min=float("-inf"))),
+        ("scan", _axis_config(max=float("nan"))),
+        ("scan", _axis_config(path="seed", min=float("-inf"))),
+        ("threshold --axis links.0.v --target b_seq", _axis_config(max=float("inf"))),
+        ("threshold --axis channels.0.param --target b_lin", dict(
+            _axis_config(path="channels.0.param", min=float("nan")),
+            channels=[{"link": 1, "type": "bit_flip", "param": 0.0}],
+        )),
     ],
-    ids=["eval-explicit-link", "eval-settings", "oracle-settings"],
+    ids=[
+        "eval-explicit-link", "eval-settings", "oracle-settings", "eval-explicit-link-real-infinity",
+        "eval-explicit-link-imag-infinity", "scan-min", "scan-max", "scan-seed-axis", "threshold-max",
+        "threshold-channel-min",
+    ],
 )
 def test_non_finite_input_is_a_config_error(tmp_path, capsys, command, cfg):
     # json.dumps writes NaN as the token NaN, which Python's json reads back.
-    code, out, err = _run(capsys, command, "--config", _write(tmp_path, cfg))
+    code, out, err = _run(capsys, *command.split(), "--config", _write(tmp_path, cfg))
     assert code == 2
     assert "config error" in err and "not finite" in err
     assert out == ""
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        ("eval", _infinite_link_config(1), "links.0: matrix entries are not finite"),
+        ("scan", _axis_config(path="seed", min=float("-inf")), "scan.axes.0.min is not finite, got -inf"),
+        ("threshold --axis links.0.v --target b_seq", _axis_config(max=float("nan")),
+         "scan.axes.0.max is not finite, got nan"),
+    ],
+    ids=["explicit-link", "scan-min", "threshold-max"],
+)
+def test_non_finite_input_names_its_field(tmp_path, capsys, command, cfg, message):
+    code, _, err = _run(capsys, *command.split(), "--config", _write(tmp_path, cfg))
+    assert (code, err) == (2, f"config error: {message}\n")
 
 
 def _link_config(link):

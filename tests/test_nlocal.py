@@ -192,6 +192,11 @@ class TestBLin:
         with pytest.raises(ValueError, match=f"^a chain needs at least 2 links, got {n_links}$"):
             b_lin([werner_state(1.0)] * n_links)
 
+    def test_rejects_a_chain_that_is_not_a_stack_of_4x4_matrices(self) -> None:
+        link = werner_state(0.5)
+        with pytest.raises(ValueError, match=r"^expected a 4x4 matrix, got shape \(1, 4, 4\)$"):
+            b_lin([link[None], link[None]])
+
     def test_validates_its_chain_in_one_call(self, monkeypatch) -> None:
         calls = []
 
@@ -330,7 +335,6 @@ class TestBSeq:
             )
         )
         assert loud.violation and loud.b_seq > 1.0
-        assert loud.lhs_at_settings is None
 
 
 class TestLhsAtSettings:
