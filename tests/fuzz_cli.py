@@ -83,7 +83,10 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 def fuzz(
     seed: int, count: int | None = None, seconds: float | None = None
 ) -> Iterator[tuple[str, dict, int | None, str | None]]:
-    """Yield (case name, mutated config, exit code or None, problem or None) per run, for ``count`` runs or ``seconds``."""
+    """Yield (case name, mutated config, exit code or None, problem or None) per run.
+
+    Stops after ``count`` runs or ``seconds``, whichever limit is given and reached first.
+    """
     rng = random.Random(seed)
     deadline = None if seconds is None else time.monotonic() + seconds
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
