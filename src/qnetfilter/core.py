@@ -157,15 +157,20 @@ def bloch_decompose(rho: np.ndarray) -> BlochForm:
 def from_bloch(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Rebuild the density matrix from Bloch vectors and correlation tensor.
 
-    The result is validated, so unphysical coefficient sets are rejected.
+    Stacks of ``(..., 3)`` vectors and ``(..., 3, 3)`` tensors give a ``(..., 4, 4)``
+    stack.  The result is validated in one call, so unphysical coefficient sets are rejected.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     w = np.asarray(w, dtype=float)
-    if a.shape != (3,) or b.shape != (3,) or w.shape != (3, 3):
+    if a.shape[-1:] != (3,) or b.shape != a.shape or w.shape != (*a.shape, 3):
         raise ValueError("expected a(3,), b(3,), w(3,3)")
-    coeffs = np.concatenate([[1.0], np.column_stack([a, b, w]).ravel()])
-    mat = (coeffs[:, None, None] * _TERMS).sum(axis=0)
+    coeffs = np.concatenate([a[..., None], b[..., None], w], axis=-1).reshape(*a.shape[:-1], 15)
+    # One term at a time, in the expansion's order: the sums of adding a (16, 4, 4) product along its
+    # first axis, without building that product for every matrix of a stack.
+    mat = _TERMS[0]
+    for coeff, term in zip(np.moveaxis(coeffs, -1, 0), _TERMS[1:]):
+        mat = mat + coeff[..., None, None] * term
     return validate_density(mat / 4.0)
 
 
@@ -175,7 +180,10 @@ def correlation_singular_values(rho: np.ndarray) -> np.ndarray:
 
 
 def _quaternion_unitary(quat) -> np.ndarray:
-    """The SU(2) element qw I - i (qx sigma_x + qy sigma_y + qz sigma_z) of a unit quaternion (qw, qx, qy, qz)."""
+    """The SU(2) element qw I - i (qx sigma_x + qy sigma_y + qz sigma_z) of a unit quaternion (qw, qx, qy, qz).
+
+    Components of shape ``(..., 1, 1)`` give a ``(..., 2, 2)`` stack.
+    """
     return quat[0] * ID2 - 1.0j * (quat[1] * SIGMA_X + quat[2] * SIGMA_Y + quat[3] * SIGMA_Z)
 
 

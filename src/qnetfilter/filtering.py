@@ -187,17 +187,22 @@ def filtered_bell_diagonal(
         raise ValueError("expected three diagonal correlation entries")
     eps_l = _check_eps("eps_left", eps_left)
     eps_r = _check_eps("eps_right", eps_right)
-    shrink_l = 1.0 - eps_l * eps_l
-    shrink_r = 1.0 - eps_r * eps_r
-    grow_l = 1.0 + eps_l * eps_l
-    grow_r = 1.0 + eps_r * eps_r
-    c1 = w[2] * shrink_l * shrink_r + grow_l * grow_r
+    w1, w2, w3 = w.tolist()
+    c1 = _closed_form_c1(w3, eps_l, eps_r)
     success = _check_success(c1 / 4.0)
-    filtered = np.array(
-        [
-            4.0 * eps_l * eps_r * w[0] / c1,
-            4.0 * eps_l * eps_r * w[1] / c1,
-            (shrink_l * shrink_r + w[2] * grow_l * grow_r) / c1,
-        ]
+    return np.array(_closed_form_entries(w1, w2, w3, eps_l, eps_r, c1)), success
+
+
+def _closed_form_c1(w3, eps_l, eps_r):
+    """c1 of ``filtered_bell_diagonal``, unchecked, on floats or arrays."""
+    return w3 * (1.0 - eps_l * eps_l) * (1.0 - eps_r * eps_r) + (1.0 + eps_l * eps_l) * (1.0 + eps_r * eps_r)
+
+
+def _closed_form_entries(w1, w2, w3, eps_l, eps_r, c1) -> tuple:
+    """The filtered entries (w1'', w2'', w3'') of ``filtered_bell_diagonal``, unchecked, on floats or arrays."""
+    scale = 4.0 * eps_l * eps_r
+    return (
+        scale * w1 / c1,
+        scale * w2 / c1,
+        ((1.0 - eps_l * eps_l) * (1.0 - eps_r * eps_r) + w3 * (1.0 + eps_l * eps_l) * (1.0 + eps_r * eps_r)) / c1,
     )
-    return filtered, success

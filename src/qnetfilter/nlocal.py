@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,14 @@ from .core import (
     from_bloch,
     validate_density,
 )
+from . import filtering
 from .filtering import (
     FilterAnnihilatesState,
     NetworkFilterSpec,
     _check_chain,
+    _closed_form_c1,
+    _closed_form_entries,
+    _rescale,
     apply_link_filter,
     filter_network,
     filtered_bell_diagonal,
@@ -65,6 +70,8 @@ __all__ = [
 
 UNIT_ATOL = 1e-10
 ORACLE_MAX_LINKS = 6  # the longest chain the Born-rule oracle enumerates
+# Trials per stacked pass of conjecture_search, which bounds the memory of a long search.
+_CONJECTURE_BATCH = 1024
 
 
 class DimensionTooLarge(ValueError):
@@ -135,13 +142,19 @@ class EvalResult:
     violation: bool
 
 
-def _bound(tensors: np.ndarray | list[np.ndarray]) -> float:
+def _bound(tensors: np.ndarray | list[np.ndarray]) -> float | np.ndarray:
+    """sqrt(prod t1 + prod t2) of a chain's ``(n, 3, 3)`` correlation tensors, multiplied link by link.
+
+    A ``(t, n, 3, 3)`` stack of t chains gives an array of t bounds.
+    """
     first = 1.0
     second = 1.0
-    for svs in np.linalg.svd(tensors, compute_uv=False):
-        first *= svs[0]
-        second *= svs[1]
-    return float(np.sqrt(first + second))
+    # Transposed, the singular values come first and the links second.
+    svs = np.linalg.svd(tensors, compute_uv=False).T
+    for t1, t2 in zip(svs[0], svs[1]):
+        first *= t1
+        second *= t2
+    return math.sqrt(first + second) if svs.ndim == 2 else np.sqrt(first + second)
 
 
 def _filtered_tensors(spec: NetworkSpec) -> tuple[np.ndarray, float]:
@@ -403,25 +416,135 @@ class ConjectureReport:
     annihilated: int  # filter draws that annihilated a link
 
 
-def _random_bell_diagonal(rng: np.random.Generator) -> np.ndarray:
+def _random_bell_diagonal(rng: np.random.Generator) -> list[float]:
     # Rejection sampling inside the tetrahedron of physical diagonal
     # correlation tensors (the four Bell-basis eigenvalues must be >= 0).
     while True:
-        w = rng.uniform(-1.0, 1.0, size=3)
-        eigs = (
-            1.0 + w[0] - w[1] + w[2],
-            1.0 - w[0] + w[1] + w[2],
-            1.0 + w[0] + w[1] - w[2],
-            1.0 - w[0] - w[1] - w[2],
-        )
-        if min(eigs) >= 0.0:
-            return w
+        w1, w2, w3 = rng.uniform(-1.0, 1.0, size=3).tolist()
+        if min(1.0 + w1 - w2 + w3, 1.0 - w1 + w2 + w3, 1.0 + w1 + w2 - w3, 1.0 - w1 - w2 - w3) >= 0.0:
+            return [w1, w2, w3]
 
 
-def _random_local_unitary(rng: np.random.Generator) -> np.ndarray:
-    quat = rng.normal(size=4)
-    quat /= np.linalg.norm(quat)
-    return _quaternion_unitary(quat)
+def _link_annihilates(w: list[float], eps_l: float, eps_r: float) -> bool:
+    """Whether filtering the aligned state of ``w`` annihilates it, as the direct filter finds.
+
+    Read off the closed form's success c1/4.  At or below twice ANNIHILATION_ATOL, where
+    c1 cancels and the closed form and the trace of the filtered state may round to
+    opposite sides of the threshold, both filters decide on this one link.
+    """
+    if _closed_form_c1(w[2], eps_l, eps_r) / 4.0 > 2.0 * filtering.ANNIHILATION_ATOL:
+        return False
+    zeros = np.zeros(3)
+    aligned = from_bloch(zeros, zeros, np.diag(w))
+    try:
+        filtered_bell_diagonal(w, eps_l, eps_r)
+        apply_link_filter(aligned, eps_l, eps_r)
+    except FilterAnnihilatesState:
+        return True
+    return False
+
+
+@dataclass(frozen=True)
+class _Draws:
+    """A batch of drawn trials; ``lone_*`` hold the first link of each trial whose second link annihilated."""
+
+    w: np.ndarray  # (t, 2, 3) diagonal correlation entries of the two links
+    eps: np.ndarray  # (t, 2, 2) filter strengths, (left, right) per link
+    quats: np.ndarray  # (t, 2, 2, 4) normal draws, one quaternion before normalising, (left, right) per link
+    b_lin: np.ndarray  # (t,)
+    lone_w: np.ndarray  # (p, 3)
+    lone_eps: np.ndarray  # (p, 2)
+    rejected: int
+    annihilated: int
+
+
+def _draw_trials(rng: np.random.Generator, count: int) -> _Draws:
+    """Draw trials one at a time until ``count`` of them have both links past their own filters.
+
+    A trial draws a Bell-diagonal pair, rejected when b_lin > 1, then its four filter
+    strengths, then two quaternions for each link that its own filter leaves, link by
+    link; a link that annihilates ends the trial.  Which draws happen depends only on
+    these scalar tests, so no matrix is built here except near the annihilation threshold.
+    """
+    trials: list[tuple] = []
+    lone_w: list[list[float]] = []
+    lone_eps: list[list[float]] = []
+    rejected = 0
+    annihilated = 0
+    while len(trials) < count:
+        w_pair = (_random_bell_diagonal(rng), _random_bell_diagonal(rng))
+        first, second = (sorted(map(abs, w), reverse=True) for w in w_pair)
+        blin = math.sqrt(first[0] * second[0] + first[1] * second[1])
+        if blin > 1.0:
+            rejected += 1
+            continue
+        eps = rng.uniform(size=(2, 2)).tolist()
+        quats = []
+        for w, (eps_l, eps_r) in zip(w_pair, eps):
+            if _link_annihilates(w, eps_l, eps_r):
+                break
+            quats += [rng.normal(size=4), rng.normal(size=4)]
+        if len(quats) == 4:
+            trials.append((w_pair, eps, quats, blin))
+            continue
+        annihilated += 1
+        if quats:
+            lone_w.append(w_pair[0])
+            lone_eps.append(eps[0])
+    w, eps, quats, blins = zip(*trials)
+    return _Draws(
+        w=np.array(w),
+        eps=np.array(eps),
+        quats=np.array(quats).reshape(-1, 2, 2, 4),
+        b_lin=np.array(blins),
+        lone_w=np.array(lone_w, dtype=float).reshape(-1, 3),
+        lone_eps=np.array(lone_eps, dtype=float).reshape(-1, 2),
+        rejected=rejected,
+        annihilated=annihilated,
+    )
+
+
+def _bound_trials(draws: _Draws) -> tuple[float, np.ndarray, np.ndarray]:
+    """Build, filter, validate and bound a batch of drawn trials as stacks.
+
+    Returns the largest closed-form deviation over every link past its own filter, the mask of
+    trials the chain filter leaves, and their b_seq.  Each stage is validated in one call, and a
+    failure raises.  The arithmetic is that of from_bloch, apply_link_filter, NetworkSpec and
+    b_seq on one trial at a time, so every value equals theirs to the bit.
+    """
+    # Every link past its own filter, the trials' links first.
+    link_w = np.concatenate([draws.w.reshape(-1, 3), draws.lone_w])
+    link_eps = np.concatenate([draws.eps.reshape(-1, 2), draws.lone_eps])
+    diagonal_w = np.zeros((len(link_w), 3, 3))
+    diagonal = (slice(None), *np.diag_indices(3))
+    diagonal_w[diagonal] = link_w
+    zeros = np.zeros((len(link_w), 3))
+    aligned = from_bloch(zeros, zeros, diagonal_w)
+    # The direct filter against the closed form.  Uniform strengths are below 1, so no link has the identity filter.
+    scaled, direct_success = _rescale(aligned, link_eps)
+    direct = validate_density(scaled / direct_success[:, None, None])
+    eps_l, eps_r = link_eps.T
+    c1 = _closed_form_c1(link_w[:, 2], eps_l, eps_r)
+    diagonal_w[diagonal] = np.stack(_closed_form_entries(*link_w.T, eps_l, eps_r, c1), axis=-1)
+    closed_success = c1 / 4.0
+    max_dev = max(
+        float(np.abs(_bloch_form(direct).W - diagonal_w).max()),
+        float(np.abs(direct_success - closed_success).max()),
+    )
+    # Each quaternion's norm is one dot product, as np.linalg.norm takes it; norm(axis=-1) sums in another order.
+    norms = np.sqrt(draws.quats[..., None, :] @ draws.quats[..., :, None])[..., 0]
+    unitaries = _quaternion_unitary(np.moveaxis(draws.quats / norms, -1, 0)[..., None, None])
+    # Rotate each link by the Kronecker product of its two local unitaries, element by element as np.kron.
+    local = (unitaries[:, :, 0, :, None, :, None] * unitaries[:, :, 1, None, :, None, :]).reshape(-1, 2, 4, 4)
+    links = aligned[: 2 * len(draws.w)].reshape(-1, 2, 4, 4)
+    rotated = validate_density(local @ links @ local.conj().swapaxes(-1, -2))
+    # The chain filter, as filter_network: a link before the first annihilated one is validated, later ones are not.
+    scaled, success = _rescale(rotated, draws.eps)
+    alive = ~(success <= filtering.ANNIHILATION_ATOL)
+    checked = np.logical_and.accumulate(alive, axis=1)
+    scaled[checked] = validate_density(scaled[checked] / success[checked][:, None, None])
+    passed = alive.all(axis=1)
+    return max_dev, passed, _bound(_bloch_form(scaled[passed]).W)
 
 
 def conjecture_search(trials: int, seed: int = 0) -> ConjectureReport:
@@ -433,55 +556,37 @@ def conjecture_search(trials: int, seed: int = 0) -> ConjectureReport:
     full pipeline.  The closed-form filtered correlation entries are checked
     against direct filtering on every trial; the report carries the largest
     deviation seen and counts the rejected pairs and the annihilating filter draws.
+
+    The trials' numbers are drawn one trial at a time, in the order a per-trial loop
+    draws them; the states are then built, filtered, validated and bounded in stacks
+    of at most 1,024 trials with that loop's arithmetic, so the report does not depend
+    on the batching.  ``trials`` must be a non-negative integer.
     """
+    try:
+        count = None if isinstance(trials, bool) else operator.index(trials)
+    except TypeError:
+        count = None
+    if count is None or count < 0:
+        raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
     rng = np.random.default_rng(seed)
-    zeros = np.zeros(3)
     max_b_seq = 0.0
     max_b_lin = 0.0
     max_dev = 0.0
     done = 0
     rejected = 0
     annihilated = 0
-    while done < trials:
-        w_pair = (_random_bell_diagonal(rng), _random_bell_diagonal(rng))
-        svs = [np.sort(np.abs(w))[::-1] for w in w_pair]
-        blin = float(np.sqrt(svs[0][0] * svs[1][0] + svs[0][1] * svs[1][1]))
-        if blin > 1.0:
-            rejected += 1
-            continue
-        eps = rng.uniform(size=(2, 2))
-        try:
-            links = []
-            for w, (eps_l, eps_r) in zip(w_pair, eps):
-                aligned = from_bloch(zeros, zeros, np.diag(w))
-                closed_w, closed_success = filtered_bell_diagonal(w, eps_l, eps_r)
-                direct, direct_success = apply_link_filter(aligned, eps_l, eps_r)
-                max_dev = max(
-                    max_dev,
-                    float(np.max(np.abs(_bloch_form(direct).W - np.diag(closed_w)))),
-                    abs(direct_success - closed_success),
-                )
-                u_left = _random_local_unitary(rng)
-                u_right = _random_local_unitary(rng)
-                local = np.kron(u_left, u_right)
-                links.append(local @ aligned @ local.conj().T)
-            spec = NetworkSpec(
-                links=tuple(links),
-                filters=NetworkFilterSpec(
-                    eps_first=eps[0][0],
-                    eps_last=eps[1][1],
-                    middle=((eps[0][1], eps[1][0]),),
-                ),
-            )
-            filtered_bound, _ = b_seq(spec)
-        except FilterAnnihilatesState:
-            annihilated += 1
-            continue
-        max_b_seq = max(max_b_seq, filtered_bound)
-        max_b_lin = max(max_b_lin, blin)
-        done += 1
+    while done < count:
+        draws = _draw_trials(rng, min(count - done, _CONJECTURE_BATCH))
+        batch_dev, passed, bounds = _bound_trials(draws)
+        max_dev = max(max_dev, batch_dev)
+        # max over a list compares left to right, in trial order, as one trial at a time would.
+        max_b_seq = max([max_b_seq, *bounds.tolist()])
+        max_b_lin = max([max_b_lin, *draws.b_lin[passed].tolist()])
+        done += len(bounds)
+        rejected += draws.rejected
+        annihilated += draws.annihilated + len(passed) - len(bounds)
     return ConjectureReport(
-        trials=trials,
+        trials=count,
         seed=seed,
         max_b_seq=max_b_seq,
         max_b_lin=max_b_lin,

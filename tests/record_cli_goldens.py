@@ -7,8 +7,6 @@ Writes ``tests/cli_goldens.json``.  ``tests/test_goldens.py`` runs the same
 fails in Tier-1.  Re-record only at a commit whose outputs are the reference,
 and say in CHANGES.md which outputs moved and why.
 
-``reproduce conjecture-search`` is left out: it takes seconds, and the
-conjecture slice of ``perfbench/goldens.json`` already pins ``conjecture_search``.
 A reproduction that reports FAIL is pinned as it is, with exit code 1.
 """
 
@@ -86,6 +84,7 @@ _REPRODUCE_IDS = (
     "bitflip-threshold",
     "damping-threshold",
     "theorem1",
+    "conjecture-search",
 )
 
 # Each case: its name, the config written to a file (or None), and the argv with

@@ -11,13 +11,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# demos/05_conjecture_search.py is left out: its 16,000 conjecture trials take
-# about 19 s on a 2-vCPU host, three times the other four demos together.
 DEMOS = [
     "01_bloch_and_canonical_frame.py",
     "02_local_filtering.py",
     "03_network_bounds.py",
     "04_noise_thresholds.py",
+    "05_conjecture_search.py",
 ]
 
 

@@ -12,12 +12,15 @@ from scipy.optimize import bisect as scipy_bisect
 from scipy.optimize import minimize as scipy_minimize
 
 from qnetfilter import (
+    ConjectureReport,
     DimensionTooLarge,
     EvalResult,
+    FilterAnnihilatesState,
     MeasurementSettings,
     NetworkFilterSpec,
     NetworkSpec,
     NotPositive,
+    apply_link_filter,
     b_lin,
     b_seq,
     bisect,
@@ -27,6 +30,7 @@ from qnetfilter import (
     conjecture_search,
     evaluate,
     filter_network,
+    filtered_bell_diagonal,
     from_bloch,
     grud_state,
     lhs_at_settings,
@@ -37,8 +41,9 @@ from qnetfilter import (
     werner_state,
     x_state,
 )
-from qnetfilter import nlocal
+from qnetfilter import filtering, nlocal
 from qnetfilter.config import network_factory
+from qnetfilter.core import _bloch_form, _quaternion_unitary
 from qnetfilter.solvers import MAXFEV, minimize
 
 SINGLET = werner_state(1.0)
@@ -686,6 +691,93 @@ class TestBornOracle:
             assert abs(np.sqrt(abs(oracle.i_value)) + np.sqrt(abs(oracle.j_value)) - oracle.lhs) <= 1e-12
 
 
+# The per-trial loop that conjecture_search ran before it drew its trials first and
+# stacked the matrix work, kept as the reference its reports must equal field for
+# field.  The only addition is ``stages``: for each annihilated trial, the number of
+# links built before the annihilation (2 when only the chain filter annihilated).
+
+
+def reference_random_bell_diagonal(rng: np.random.Generator) -> np.ndarray:
+    # Rejection sampling inside the tetrahedron of physical diagonal
+    # correlation tensors (the four Bell-basis eigenvalues must be >= 0).
+    while True:
+        w = rng.uniform(-1.0, 1.0, size=3)
+        eigs = (
+            1.0 + w[0] - w[1] + w[2],
+            1.0 - w[0] + w[1] + w[2],
+            1.0 + w[0] + w[1] - w[2],
+            1.0 - w[0] - w[1] - w[2],
+        )
+        if min(eigs) >= 0.0:
+            return w
+
+
+def reference_random_local_unitary(rng: np.random.Generator) -> np.ndarray:
+    quat = rng.normal(size=4)
+    quat /= np.linalg.norm(quat)
+    return _quaternion_unitary(quat)
+
+
+def reference_conjecture_search(trials: int, seed: int = 0, stages: list | None = None) -> ConjectureReport:
+    rng = np.random.default_rng(seed)
+    zeros = np.zeros(3)
+    max_b_seq = 0.0
+    max_b_lin = 0.0
+    max_dev = 0.0
+    done = 0
+    rejected = 0
+    annihilated = 0
+    while done < trials:
+        w_pair = (reference_random_bell_diagonal(rng), reference_random_bell_diagonal(rng))
+        svs = [np.sort(np.abs(w))[::-1] for w in w_pair]
+        blin = float(np.sqrt(svs[0][0] * svs[1][0] + svs[0][1] * svs[1][1]))
+        if blin > 1.0:
+            rejected += 1
+            continue
+        eps = rng.uniform(size=(2, 2))
+        try:
+            links = []
+            for w, (eps_l, eps_r) in zip(w_pair, eps):
+                aligned = from_bloch(zeros, zeros, np.diag(w))
+                closed_w, closed_success = filtered_bell_diagonal(w, eps_l, eps_r)
+                direct, direct_success = apply_link_filter(aligned, eps_l, eps_r)
+                max_dev = max(
+                    max_dev,
+                    float(np.max(np.abs(_bloch_form(direct).W - np.diag(closed_w)))),
+                    abs(direct_success - closed_success),
+                )
+                u_left = reference_random_local_unitary(rng)
+                u_right = reference_random_local_unitary(rng)
+                local = np.kron(u_left, u_right)
+                links.append(local @ aligned @ local.conj().T)
+            spec = NetworkSpec(
+                links=tuple(links),
+                filters=NetworkFilterSpec(
+                    eps_first=eps[0][0],
+                    eps_last=eps[1][1],
+                    middle=((eps[0][1], eps[1][0]),),
+                ),
+            )
+            filtered_bound, _ = b_seq(spec)
+        except FilterAnnihilatesState:
+            annihilated += 1
+            if stages is not None:
+                stages.append(len(links))
+            continue
+        max_b_seq = max(max_b_seq, filtered_bound)
+        max_b_lin = max(max_b_lin, blin)
+        done += 1
+    return ConjectureReport(
+        trials=trials,
+        seed=seed,
+        max_b_seq=max_b_seq,
+        max_b_lin=max_b_lin,
+        max_closed_form_dev=max_dev,
+        rejected=rejected,
+        annihilated=annihilated,
+    )
+
+
 class TestConjectureSearch:
     def test_smoke_run(self) -> None:
         report = conjecture_search(25, seed=3)
@@ -704,3 +796,51 @@ class TestConjectureSearch:
         assert report.rejected >= 0 and report.annihilated >= 0
         again = conjecture_search(50, seed=2)
         assert (again.rejected, again.annihilated) == (report.rejected, report.annihilated)
+
+    # The default threshold annihilates nothing on these seeds; the raised ones reach the
+    # second link annihilating after the first link's deviation was taken (stage 1) and the
+    # chain filter annihilating a trial whose links both passed their own filters (stage 2).
+    @pytest.mark.parametrize(
+        "atol, stages_reached", [(filtering.ANNIHILATION_ATOL, set()), (0.05, {1}), (0.15, {1, 2})]
+    )
+    def test_reports_equal_the_per_trial_loop(self, monkeypatch, atol, stages_reached) -> None:
+        monkeypatch.setattr(filtering, "ANNIHILATION_ATOL", atol)
+        stages: list[int] = []
+        for seed in range(20):
+            expected = reference_conjecture_search(100, seed=seed, stages=stages)
+            assert conjecture_search(100, seed=seed) == expected, f"seed {seed}"
+        assert stages_reached <= set(stages)
+
+    @pytest.mark.parametrize("trials", [2.5, -3, True])
+    def test_rejects_a_trial_count_that_is_not_a_non_negative_integer(self, trials) -> None:
+        with pytest.raises(ValueError, match="trials must be a non-negative integer"):
+            conjecture_search(trials)
+
+    def test_takes_numpy_integers_and_zero(self) -> None:
+        report = conjecture_search(np.int64(5), seed=1)
+        assert report == conjecture_search(5, seed=1)
+        assert type(report.trials) is int
+        assert conjecture_search(0) == ConjectureReport(
+            trials=0, seed=0, max_b_seq=0.0, max_b_lin=0.0, max_closed_form_dev=0.0, rejected=0, annihilated=0
+        )
+
+    def test_validates_each_stack_in_one_call_and_raises_its_failure(self, monkeypatch) -> None:
+        calls = []
+        failing = []
+
+        def counted(rho):
+            calls.append(np.shape(rho))
+            if len(calls) in failing:
+                raise NotPositive("injected")
+            return validate_density(rho)
+
+        monkeypatch.setattr("qnetfilter.core.validate_density", counted)
+        monkeypatch.setattr("qnetfilter.nlocal.validate_density", counted)
+        conjecture_search(100, seed=4)
+        # The aligned states, the direct filter outputs, the rotated links and the chain filter outputs.
+        assert calls == [(200, 4, 4), (200, 4, 4), (100, 2, 4, 4), (200, 4, 4)]
+        for call in range(1, 5):
+            calls.clear()
+            failing[:] = [call]
+            with pytest.raises(NotPositive, match="injected"):
+                conjecture_search(100, seed=4)
