@@ -102,10 +102,7 @@ def _check_success(success: float, where: str = "") -> float:
 
 
 def _rescale(links: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugate a ``(..., 4, 4)`` link or stack by F_L @ F_R, with ``(..., 2)`` strengths (left, right).
-
-    Returns the unnormalised states and their traces, the success probabilities.
-    """
+    """``(..., 4, 4)`` links conjugated by F_L @ F_R for ``(..., 2)`` strengths (left, right), and their traces."""
     # F_L @ F_R = diag(eps_l * eps_r, eps_l, eps_r, 1), so conjugation is an elementwise rescale.
     diag = np.ones((*eps.shape[:-1], 4))
     diag[..., 0] = eps[..., 0] * eps[..., 1]
@@ -132,38 +129,45 @@ def apply_link_filter(rho: np.ndarray, eps_left: float, eps_right: float) -> tup
     return validate_density(scaled / success), success
 
 
+def _filter_chains(chains: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Filter a ``(..., n, 4, 4)`` stack of chains with ``(..., n, 2)`` strengths (left, right).
+
+    Returns the links, their successes and the mask of chains with no annihilated link.  An identity
+    link passes unchanged with success exactly 1; the other links before their chain's first annihilated
+    one are normalised and validated in one call, which names the first failing link in C order
+    (``link k: filtered state has``).  From a chain's first annihilated link on, links stay unnormalised.
+    """
+    filtered = np.array(chains, dtype=complex)
+    success = np.ones(eps.shape[:-1])
+    active = (eps != 1.0).any(axis=-1)
+    filtered[active], success[active] = _rescale(filtered[active], eps[active])
+    before_dead = np.logical_and.accumulate(~(success <= ANNIHILATION_ATOL), axis=-1)  # NaN is not annihilation
+    checked = before_dead & active
+    outputs = filtered[checked] / success[checked][:, None, None]
+    try:
+        filtered[checked] = validate_density(outputs)
+    except ValueError:
+        (position,), error = _first_failure(outputs)
+        raise type(error)(f"link {np.argwhere(checked)[position][-1] + 1}: filtered state has {error}") from None
+    return filtered, success, before_dead[..., -1]
+
+
 def filter_network(states: np.ndarray | list[np.ndarray], spec: NetworkFilterSpec) -> tuple[np.ndarray, float]:
     """Filter every link of a chain; returns the ``(n, 4, 4)`` filtered links and the overall success.
 
     Link j takes entries 2j and 2j+1 of (eps_first, *middle pairs, eps_last).  The
-    overall success probability is the product of the per-link traces.  Links
-    with the identity filter pass unchanged; the others are filtered as one stack
-    and validated in one call, whose error names the first link (1-based) that
-    annihilates or whose filtered state fails validation (``link k: filtered state has``).
+    overall success probability is the product of the per-link traces.  The chain
+    is filtered by ``_filter_chains``, and the error names the first link (1-based)
+    that annihilates or whose filtered state fails validation (``link k: filtered state has``).
     """
     n_links = len(states)
     _check_chain(n_links, spec)
     eps = np.array((spec.eps_first, *itertools.chain.from_iterable(spec.middle), spec.eps_last)).reshape(n_links, 2)
-    filtered = np.array(states, dtype=complex)
-    active = np.flatnonzero((eps != 1.0).any(axis=1))
-    scaled, success = _rescale(filtered[active], eps[active])
-    alive = ~(success <= ANNIHILATION_ATOL)  # a NaN success is not annihilation, as in _check_success
-    outputs = scaled[alive] / success[alive, None, None]
-    if alive.all():
-        try:
-            filtered[active] = validate_density(outputs)
-        except ValueError:
-            pass
-        else:
-            # An identity link's success is exactly 1, so the product over the active links is the chain's.
-            return filtered, math.prod(success.tolist(), start=1.0)
-    # The first failing link; annihilated outputs are not validated, so no link fails both ways.
-    failure = _first_failure(outputs)
-    dead = np.flatnonzero(~alive)
-    if failure is None or (dead.size and dead[0] < np.flatnonzero(alive)[failure[0][0]]):
-        _check_success(success[dead[0]], f"link {active[dead[0]] + 1}: ")  # raises
-    (position,), error = failure
-    raise type(error)(f"link {active[alive][position] + 1}: filtered state has {error}")
+    filtered, success, alive = _filter_chains(states, eps)
+    if not alive:
+        dead = np.flatnonzero(success <= ANNIHILATION_ATOL)[0]
+        _check_success(success[dead], f"link {dead + 1}: ")  # raises
+    return filtered, math.prod(success.tolist())
 
 
 def filtered_bell_diagonal(

@@ -43,7 +43,7 @@ from .filtering import (
     _check_chain,
     _closed_form_c1,
     _closed_form_entries,
-    _rescale,
+    _filter_chains,
     apply_link_filter,
     filter_network,
     filtered_bell_diagonal,
@@ -224,6 +224,17 @@ def lhs_at_settings(spec: NetworkSpec, settings: MeasurementSettings) -> float:
     return _lhs_core(_filtered_tensors(spec)[0], settings.m0, settings.m1, settings.n0, settings.n1)
 
 
+def _non_negative_int(name: str, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is a non-negative integer (bool excluded)."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return number
+
+
 def _angles_to_vectors(angles) -> tuple[tuple[float, float, float], ...]:
     vectors = []
     for k in range(4):
@@ -244,8 +255,11 @@ def maximize_lhs(
     ``canonical_frame``.  The LHS never reads the t3 entry, so the tensors come
     from one SVD of the filtered stack.  Nelder--Mead is run from a deterministic
     warm start at the closed-form optimum plus ``restarts`` seeded random starts,
-    and the best value wins (earliest start on ties).
+    and the best value wins (earliest start on ties).  ``seed`` and ``restarts`` must be
+    non-negative integers.
     """
+    seed = _non_negative_int("seed", seed)
+    restarts = _non_negative_int("restarts", restarts)
     filtered, _ = filter_network(spec.links, spec.filters)
     tensors = [
         ((t2, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, t1))
@@ -520,16 +534,15 @@ def _bound_trials(draws: _Draws) -> tuple[float, np.ndarray, np.ndarray]:
     diagonal_w[diagonal] = link_w
     zeros = np.zeros((len(link_w), 3))
     aligned = from_bloch(zeros, zeros, diagonal_w)
-    # The direct filter against the closed form.  Uniform strengths are below 1, so no link has the identity filter.
-    scaled, direct_success = _rescale(aligned, link_eps)
-    direct = validate_density(scaled / direct_success[:, None, None])
+    # The direct filter, each link a chain of one, against the closed form.
+    direct, direct_success, _ = _filter_chains(aligned[:, None], link_eps[:, None])
     eps_l, eps_r = link_eps.T
     c1 = _closed_form_c1(link_w[:, 2], eps_l, eps_r)
     diagonal_w[diagonal] = np.stack(_closed_form_entries(*link_w.T, eps_l, eps_r, c1), axis=-1)
     closed_success = c1 / 4.0
     max_dev = max(
-        float(np.abs(_bloch_form(direct).W - diagonal_w).max()),
-        float(np.abs(direct_success - closed_success).max()),
+        float(np.abs(_bloch_form(direct[:, 0]).W - diagonal_w).max()),
+        float(np.abs(direct_success[:, 0] - closed_success).max()),
     )
     # Each quaternion's norm is one dot product, as np.linalg.norm takes it; norm(axis=-1) sums in another order.
     norms = np.sqrt(draws.quats[..., None, :] @ draws.quats[..., :, None])[..., 0]
@@ -538,13 +551,8 @@ def _bound_trials(draws: _Draws) -> tuple[float, np.ndarray, np.ndarray]:
     local = (unitaries[:, :, 0, :, None, :, None] * unitaries[:, :, 1, None, :, None, :]).reshape(-1, 2, 4, 4)
     links = aligned[: 2 * len(draws.w)].reshape(-1, 2, 4, 4)
     rotated = validate_density(local @ links @ local.conj().swapaxes(-1, -2))
-    # The chain filter, as filter_network: a link before the first annihilated one is validated, later ones are not.
-    scaled, success = _rescale(rotated, draws.eps)
-    alive = ~(success <= filtering.ANNIHILATION_ATOL)
-    checked = np.logical_and.accumulate(alive, axis=1)
-    scaled[checked] = validate_density(scaled[checked] / success[checked][:, None, None])
-    passed = alive.all(axis=1)
-    return max_dev, passed, _bound(_bloch_form(scaled[passed]).W)
+    filtered, _, passed = _filter_chains(rotated, draws.eps)
+    return max_dev, passed, _bound(_bloch_form(filtered[passed]).W)
 
 
 def conjecture_search(trials: int, seed: int = 0) -> ConjectureReport:
@@ -560,14 +568,10 @@ def conjecture_search(trials: int, seed: int = 0) -> ConjectureReport:
     The trials' numbers are drawn one trial at a time, in the order a per-trial loop
     draws them; the states are then built, filtered, validated and bounded in stacks
     of at most 1,024 trials with that loop's arithmetic, so the report does not depend
-    on the batching.  ``trials`` must be a non-negative integer.
+    on the batching.  ``trials`` and ``seed`` must be non-negative integers.
     """
-    try:
-        count = None if isinstance(trials, bool) else operator.index(trials)
-    except TypeError:
-        count = None
-    if count is None or count < 0:
-        raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
+    count = _non_negative_int("trials", trials)
+    seed = _non_negative_int("seed", seed)
     rng = np.random.default_rng(seed)
     max_b_seq = 0.0
     max_b_lin = 0.0

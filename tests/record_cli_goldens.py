@@ -44,6 +44,21 @@ _DAMPED_SCAN = dict(
         {"path": "links.1.v", "min": 0.5, "max": 1.0, "steps": 3},
     ]},
 )
+# Link 1 as grud v=1 under a first filter of 0: its post-selection succeeds with probability 0.
+_ANNIHILATED = dict(
+    _EXAMPLE,
+    links=[{"family": "grud", "v": 1.0, "x": 0.23}, _EXAMPLE["links"][1]],
+    filters=dict(_EXAMPLE["filters"], first=0.0),
+)
+# The same chain scanned from v=0, where only the last v (1) annihilates.
+_ANNIHILATED_SCAN = dict(
+    _ANNIHILATED,
+    links=[{"family": "grud", "v": 0.0, "x": 0.23}, _EXAMPLE["links"][1]],
+    scan={"axes": [
+        {"path": "links.0.v", "min": 0.0, "max": 1.0, "steps": 3},
+        {"path": "filters.middle.0.0", "min": 0.5, "max": 1.0, "steps": 2},
+    ]},
+)
 _BITFLIP_THRESHOLD = {
     "links": [{"family": "pure_theta", "theta": 0.62}, {"family": "pure_theta", "theta": 0.62}],
     "channels": [
@@ -121,6 +136,8 @@ CASES = [
     ("eval-filtered-trace",
      {"links": [_TRACE_SKEWED, {"family": "werner", "p": 0.5}], "filters": {"first": 0.99, "middle": [[0.99, 1.0]]}},
      ["eval", "--config", "{config}"]),
+    ("eval-annihilated", _ANNIHILATED, ["eval", "--config", "{config}"]),
+    ("scan-annihilated", _ANNIHILATED_SCAN, ["scan", "--config", "{config}"]),
     *((f"reproduce-{name}", None, ["reproduce", name]) for name in _REPRODUCE_IDS),
 ]
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from qnetfilter import (
     from_bloch,
     validate_density,
 )
+from qnetfilter.filtering import _filter_chains
 
 
 # Valid within tolerance with an eigenvalue of -9e-10, which a strong filter amplifies past it.
@@ -257,7 +260,8 @@ class TestFilterNetwork:
         spec = NetworkFilterSpec(eps_first=0.7, eps_last=0.9, middle=((0.5, 0.0), (0.8, 0.95)))
         with pytest.raises(FilterAnnihilatesState, match="link 2:"):
             filter_network(states, spec)
-        assert calls == []
+        # Only link 1, the filtered link before the annihilated one, is validated.
+        assert calls == [(1, 4, 4)]
 
     def test_identity_links_pass_unchanged_among_filtered_ones(self) -> None:
         rng = np.random.default_rng(61)
@@ -268,6 +272,74 @@ class TestFilterNetwork:
         state, success = apply_link_filter(states[2], 0.9, 0.6)
         assert np.array_equal(filtered[2], state)
         assert overall == 1.0 * 1.0 * success
+
+
+def chain_spec(eps: np.ndarray) -> NetworkFilterSpec:
+    """The spec that gives a chain the ``(n, 2)`` strengths (left, right) per link."""
+    return NetworkFilterSpec(eps_first=eps[0, 0], eps_last=eps[-1, 1], middle=tuple(zip(eps[:-1, 1], eps[1:, 0])))
+
+
+def random_chain_stack(rng: np.random.Generator, t: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(t, n, 4, 4)`` chains and ``(t, n, 2)`` strengths mixing filtered, identity and annihilated links.
+
+    An annihilated link is GROUND under a 0 strength; a link after it may be BARELY_VALID under
+    (1e-4, 1), whose filtered state would fail validation.
+    """
+    chains = np.array([[random_density(rng) for _ in range(n)] for _ in range(t)])
+    eps = rng.uniform(0.05, 1.0, size=(t, n, 2))
+    kinds = rng.choice(3, size=(t, n), p=[0.6, 0.25, 0.15])
+    eps[kinds == 1] = 1.0
+    for chain, link in np.argwhere(kinds == 2):
+        chains[chain, link] = GROUND
+        eps[chain, link, rng.integers(2)] = 0.0
+        if link + 1 < n and rng.uniform() < 0.5:
+            later = rng.integers(link + 1, n)
+            chains[chain, later] = BARELY_VALID
+            eps[chain, later] = (1e-4, 1.0)
+    return chains, eps
+
+
+class TestFilterChains:
+    """The stacked chain filter agrees with filter_network on every chain of a stack."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_each_chain_matches_filter_network(self, n) -> None:
+        rng = np.random.default_rng(1000 + n)
+        chains, eps = random_chain_stack(rng, 40, n)
+        filtered, success, alive = _filter_chains(chains, eps)
+        assert filtered.shape == chains.shape and success.shape == alive.shape + (n,) == (40, n)
+        for chain, links in enumerate(chains):
+            try:
+                expected, overall = filter_network(links, chain_spec(eps[chain]))
+            except FilterAnnihilatesState:
+                assert not alive[chain]
+                continue
+            assert alive[chain]
+            assert np.array_equal(filtered[chain], expected)
+            assert success[chain].tolist() == [apply_link_filter(*link)[1] for link in zip(links, *eps[chain].T)]
+            assert math.prod(success[chain].tolist()) == overall
+        identity = (eps == 1.0).all(axis=-1)
+        assert np.array_equal(filtered[identity], chains[identity]) and (success[identity] == 1.0).all()
+        # Every kind of chain occurs: surviving, annihilated, and annihilated before a link that would fail.
+        after_dead = (chains == BARELY_VALID).all(axis=(-2, -1)).any(axis=-1)
+        assert alive.any() and (~alive & ~after_dead).any() and after_dead.any()
+
+    def test_the_first_chain_that_fails_validation_raises_its_error(self) -> None:
+        rng = np.random.default_rng(77)
+        chains, eps = random_chain_stack(rng, 40, 3)
+        alive = _filter_chains(chains, eps)[2]
+        first, second = np.flatnonzero(alive)[[3, 5]]
+        # In C order, the last link of the earlier chain fails before the first link of the later one.
+        for chain, link in ((first, 2), (second, 0)):
+            chains[chain, link] = BARELY_VALID
+            eps[chain, link] = (1e-4, 1.0)
+        with pytest.raises(ValueError) as expected:
+            filter_network(chains[first], chain_spec(eps[first]))
+        with pytest.raises(ValueError) as caught:
+            _filter_chains(chains, eps)
+        assert type(caught.value) is type(expected.value) is NotPositive
+        assert str(caught.value) == str(expected.value)
+        assert str(caught.value).startswith("link 3: filtered state has")
 
 
 class TestFilteredBellDiagonal:

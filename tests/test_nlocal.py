@@ -417,6 +417,34 @@ class TestMaximizeLhs:
         second, _ = maximize_lhs(spec, seed=4)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"restarts": -1}, "restarts"),
+            ({"restarts": True}, "restarts"),
+            ({"restarts": 2.5}, "restarts"),
+            ({"seed": True}, "seed"),
+            ({"seed": 2.5}, "seed"),
+            ({"seed": "3"}, "seed"),
+            ({"seed": -1}, "seed"),
+        ],
+        ids=[
+            "restarts-negative", "restarts-bool", "restarts-float", "seed-bool", "seed-float", "seed-str", "seed-negative"
+        ],
+    )
+    def test_rejects_a_seed_or_restart_count_that_is_not_a_non_negative_integer(self, kwargs, name) -> None:
+        spec = NetworkSpec(links=(SINGLET, SINGLET))
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got "):
+            maximize_lhs(spec, **kwargs)
+
+    def test_takes_numpy_integer_seeds_and_restarts(self) -> None:
+        rng = np.random.default_rng(113)
+        spec = NetworkSpec(links=(random_density(rng), random_density(rng)))
+        value, settings = maximize_lhs(spec, seed=np.int64(4), restarts=np.int32(2))
+        expected_value, expected_settings = maximize_lhs(spec, seed=4, restarts=2)
+        assert value == expected_value
+        assert all(np.array_equal(*pair) for pair in zip(vars(settings).values(), vars(expected_settings).values()))
+
 
 # scipy is the reference for the package's own Nelder--Mead and bisection:
 # both must return scipy's floats bit for bit, and take as many evaluations.
@@ -824,6 +852,16 @@ class TestConjectureSearch:
             trials=0, seed=0, max_b_seq=0.0, max_b_lin=0.0, max_closed_form_dev=0.0, rejected=0, annihilated=0
         )
 
+    @pytest.mark.parametrize("seed", [True, 2.5, "3", -1])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed) -> None:
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+            conjecture_search(5, seed=seed)
+
+    def test_takes_a_numpy_integer_seed(self) -> None:
+        report = conjecture_search(5, seed=np.int64(1))
+        assert report == conjecture_search(5, seed=1)
+        assert type(report.seed) is int
+
     def test_validates_each_stack_in_one_call_and_raises_its_failure(self, monkeypatch) -> None:
         calls = []
         failing = []
@@ -834,8 +872,14 @@ class TestConjectureSearch:
                 raise NotPositive("injected")
             return validate_density(rho)
 
+        def located(outputs):
+            # The filter stages locate a failure after validate_density raises; the injected one too.
+            return (0,), NotPositive("injected")
+
         monkeypatch.setattr("qnetfilter.core.validate_density", counted)
         monkeypatch.setattr("qnetfilter.nlocal.validate_density", counted)
+        monkeypatch.setattr("qnetfilter.filtering.validate_density", counted)
+        monkeypatch.setattr("qnetfilter.filtering._first_failure", located)
         conjecture_search(100, seed=4)
         # The aligned states, the direct filter outputs, the rotated links and the chain filter outputs.
         assert calls == [(200, 4, 4), (200, 4, 4), (100, 2, 4, 4), (200, 4, 4)]
