@@ -235,15 +235,6 @@ def _non_negative_int(name: str, value) -> int:
     return number
 
 
-def _angles_to_vectors(angles) -> tuple[tuple[float, float, float], ...]:
-    vectors = []
-    for k in range(4):
-        theta, phi = angles[2 * k], angles[2 * k + 1]
-        sin_theta = math.sin(theta)
-        vectors.append((sin_theta * math.cos(phi), sin_theta * math.sin(phi), math.cos(theta)))
-    return tuple(vectors)
-
-
 def maximize_lhs(
     spec: NetworkSpec, seed: int = 0, restarts: int = 16
 ) -> tuple[float, MeasurementSettings]:
@@ -253,10 +244,18 @@ def maximize_lhs(
     diag(t2, t3, t1) up to the sign of t3 (which leaves the maximum invariant);
     the returned settings therefore apply to the chain rotated by
     ``canonical_frame``.  The LHS never reads the t3 entry, so the tensors come
-    from one SVD of the filtered stack.  Nelder--Mead is run from a deterministic
-    warm start at the closed-form optimum plus ``restarts`` seeded random starts,
-    and the best value wins (earliest start on ties).  ``seed`` and ``restarts`` must be
-    non-negative integers.
+    from one SVD of the filtered stack.
+
+    The LHS reads each end pair only through the z component of its sum and the
+    x component of its difference, and grows with the size of both.  The sum and
+    the difference of two unit vectors are orthogonal, with squared lengths
+    adding to 4, so the xz-plane pair with the sum on z and the difference on x
+    matches any pair in their lengths: a y component cannot raise the LHS.  So
+    each end vector is searched as one angle ``a``, ``(sin a, 0, cos a)``, in the
+    xz plane of the canonical frame.  Nelder--Mead is run over the four angles
+    from a deterministic warm start at the closed-form optimum plus ``restarts``
+    seeded random starts, and the best value wins (earliest start on ties).
+    ``seed`` and ``restarts`` must be non-negative integers.
     """
     seed = _non_negative_int("seed", seed)
     restarts = _non_negative_int("restarts", restarts)
@@ -267,25 +266,20 @@ def maximize_lhs(
     ]
 
     def negative_lhs(angles: list[float]) -> float:
-        m0, m1, n0, n1 = _angles_to_vectors(angles)
-        return -_lhs_core(tensors, m0, m1, n0, n1)
+        return -_lhs_core(tensors, *[(math.sin(a), 0.0, math.cos(a)) for a in angles])
 
     # Closed-form optimum: mix axis 3 and axis 1 with tan(alpha) =
-    # sqrt(prod t2 / prod t1) at both ends.
+    # sqrt(prod t2 / prod t1) at both ends, +alpha for m0 and n0, -alpha for m1 and n1.
     prod_t1 = float(np.prod([w[2][2] for w in tensors]))
     prod_t2 = float(np.prod([w[0][0] for w in tensors]))
     alpha = float(np.arctan2(np.sqrt(prod_t2), np.sqrt(prod_t1)))
-    warm = np.array([alpha, 0.0, alpha, np.pi, alpha, 0.0, alpha, np.pi])
+    warm = np.array([alpha, -alpha, alpha, -alpha])
 
     rng = np.random.default_rng(seed)
-    starts = [warm]
-    for _ in range(restarts):
-        thetas = rng.uniform(0.0, np.pi, size=4)
-        phis = rng.uniform(-np.pi, np.pi, size=4)
-        starts.append(np.column_stack([thetas, phis]).reshape(-1))
+    starts = [warm] + [rng.uniform(-np.pi, np.pi, size=4) for _ in range(restarts)]
 
     lowest, best_angles = nelder_mead(negative_lhs, starts, None)
-    m0, m1, n0, n1 = _angles_to_vectors(best_angles)
+    m0, m1, n0, n1 = [(math.sin(a), 0.0, math.cos(a)) for a in best_angles]
     return float(-lowest), MeasurementSettings(m0=m0, m1=m1, n0=n0, n1=n1)
 
 

@@ -384,6 +384,8 @@ class TestMaximizeLhs:
         assert lhs_at_settings(NetworkSpec(links=rotated), settings) == pytest.approx(
             value, abs=1e-9
         )
+        # The search runs in the xz plane of the canonical frame.
+        assert [vec[1] for vec in (settings.m0, settings.m1, settings.n0, settings.n1)] == [0.0] * 4
 
     def test_agrees_with_the_bound_on_random_chains(self) -> None:
         rng = np.random.default_rng(109)
@@ -409,6 +411,31 @@ class TestMaximizeLhs:
         value, _ = maximize_lhs(spec)
         bound, _ = b_seq(spec)
         assert value == pytest.approx(bound, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cold_starts_alone_reach_the_bound(self, monkeypatch, n) -> None:
+        """The warm start sits at the closed-form optimum, so only the random starts check the closed form."""
+        runs = []
+
+        def recording(objective, x0, bounds):
+            runs.append(minimize(objective, x0, bounds))
+            return runs[-1]
+
+        monkeypatch.setattr(nlocal, "minimize", recording)
+        rng = np.random.default_rng(150 + n)
+        for seed in range(8):
+            eps = rng.uniform(0.3, 1.0, size=2 * n)
+            spec = NetworkSpec(
+                links=tuple(random_density(rng) for _ in range(n)),
+                filters=NetworkFilterSpec(
+                    eps_first=eps[0], eps_last=eps[1], middle=tuple(zip(eps[2::2], eps[3::2]))
+                ),
+            )
+            runs.clear()
+            value, _ = maximize_lhs(spec, seed=seed)
+            assert len(runs) == 17
+            assert value == -min(run.fun for run in runs)
+            assert -min(run.fun for run in runs[1:]) == pytest.approx(b_seq(spec)[0], abs=1e-6)
 
     def test_deterministic_for_fixed_seed(self) -> None:
         rng = np.random.default_rng(113)
