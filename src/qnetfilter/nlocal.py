@@ -20,6 +20,7 @@ ones (hidden violation: b_lin <= 1 < b_seq).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -84,6 +85,7 @@ class NetworkSpec:
 
     ``links`` takes any sequence of 4x4 density matrices and holds them, validated
     in one pass that names the first bad link, as a read-only ``(n, 4, 4)`` complex array.
+    Building a spec never filters: the chain is filtered once, on first use.
     """
 
     links: np.ndarray
@@ -104,6 +106,13 @@ class NetworkSpec:
     @property
     def n(self) -> int:
         return len(self.links)
+
+    @functools.cached_property
+    def _filtered(self) -> tuple[np.ndarray, float]:
+        """The read-only ``(n, 4, 4)`` filtered links and the overall success; a failure raises on every use."""
+        filtered, success = filter_network(self.links, self.filters)
+        filtered.flags.writeable = False
+        return filtered, success
 
 
 def _unit_vector(name: str, vec: np.ndarray) -> np.ndarray:
@@ -157,11 +166,6 @@ def _bound(tensors: np.ndarray | list[np.ndarray]) -> float | np.ndarray:
     return math.sqrt(first + second) if svs.ndim == 2 else np.sqrt(first + second)
 
 
-def _filtered_tensors(spec: NetworkSpec) -> tuple[np.ndarray, float]:
-    filtered, success = filter_network(spec.links, spec.filters)
-    return _bloch_form(filtered).W, success
-
-
 def b_lin(links: np.ndarray | tuple[np.ndarray, ...] | list[np.ndarray]) -> float:
     """Closed-form n-local bound of the unfiltered chain of at least 2 links; validates the chain as one stack."""
     _check_chain(len(links))
@@ -173,16 +177,16 @@ def b_lin(links: np.ndarray | tuple[np.ndarray, ...] | list[np.ndarray]) -> floa
 
 def b_seq(spec: NetworkSpec) -> tuple[float, float]:
     """Closed-form bound of the filtered chain and its overall success probability."""
-    tensors, success = _filtered_tensors(spec)
-    return _bound(tensors), success
+    filtered, success = spec._filtered
+    return _bound(_bloch_form(filtered).W), success
 
 
 def evaluate(spec: NetworkSpec) -> EvalResult:
-    """Evaluate both bounds, the success probability and the violation flag."""
-    unfiltered = _bound(_bloch_form(spec.links).W)
-    tensors, success = _filtered_tensors(spec)
-    filtered = _bound(tensors)
-    return EvalResult(b_lin=unfiltered, b_seq=filtered, success_prob=success, violation=filtered > 1.0)
+    """Evaluate both bounds, the success probability and the violation flag; one SVD takes both chains."""
+    raw = _bloch_form(spec.links).W  # before filtering: the raw chain's decomposition error comes first
+    filtered, success = spec._filtered
+    unfiltered, bound = _bound(np.array([raw, _bloch_form(filtered).W])).tolist()
+    return EvalResult(b_lin=unfiltered, b_seq=bound, success_prob=success, violation=bound > 1.0)
 
 
 def _lhs_core(
@@ -221,7 +225,7 @@ def lhs_at_settings(spec: NetworkSpec, settings: MeasurementSettings) -> float:
     Works in the lab frame of the supplied states (no canonicalisation), so
     the result matches the Born-rule oracle for the same settings.
     """
-    return _lhs_core(_filtered_tensors(spec)[0], settings.m0, settings.m1, settings.n0, settings.n1)
+    return _lhs_core(_bloch_form(spec._filtered[0]).W, settings.m0, settings.m1, settings.n0, settings.n1)
 
 
 def _non_negative_int(name: str, value) -> int:
@@ -259,10 +263,9 @@ def maximize_lhs(
     """
     seed = _non_negative_int("seed", seed)
     restarts = _non_negative_int("restarts", restarts)
-    filtered, _ = filter_network(spec.links, spec.filters)
     tensors = [
         ((t2, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, t1))
-        for t1, t2, _ in np.linalg.svd(_bloch_form(filtered).W, compute_uv=False).tolist()
+        for t1, t2, _ in np.linalg.svd(_bloch_form(spec._filtered[0]).W, compute_uv=False).tolist()
     ]
 
     def negative_lhs(angles: list[float]) -> float:
@@ -328,8 +331,7 @@ def _link_tensors(spec: NetworkSpec) -> np.ndarray:
     """The filtered links as ``rho[k, a, b, a', b']`` over each link's two qubits; at most 6 links."""
     if spec.n > ORACLE_MAX_LINKS:
         raise DimensionTooLarge(f"Born-rule enumeration supports at most {ORACLE_MAX_LINKS} links, got n = {spec.n}")
-    filtered, _ = filter_network(spec.links, spec.filters)
-    return filtered.reshape(-1, 2, 2, 2, 2)
+    return spec._filtered[0].reshape(-1, 2, 2, 2, 2)
 
 
 def _distribution(
@@ -385,8 +387,8 @@ def born_oracle(spec: NetworkSpec, settings: MeasurementSettings) -> OracleResul
 
     Independent of the closed-form path: probabilities come from projector
     traces on the filtered link states, the middle parities from the Bell outcome
-    bits.  Serves as the ground truth for lhs_at_settings.  The chain is filtered
-    once for all four setting pairs.
+    bits.  Serves as the ground truth for lhs_at_settings.  All four setting pairs
+    read the spec's filtered chain, which is filtered once per spec.
     """
     links = _link_tensors(spec)
     sign_zz, sign_xx = _parity_signs(spec.n, 0), _parity_signs(spec.n, 1)
@@ -454,14 +456,13 @@ def _link_annihilates(w: list[float], eps_l: float, eps_r: float) -> bool:
 
 @dataclass(frozen=True)
 class _Draws:
-    """A batch of drawn trials; ``lone_*`` hold the first link of each trial whose second link annihilated."""
+    """A batch of drawn trials and, in draw order, every link that passed its own filter."""
 
-    w: np.ndarray  # (t, 2, 3) diagonal correlation entries of the two links
-    eps: np.ndarray  # (t, 2, 2) filter strengths, (left, right) per link
+    w: np.ndarray  # (p, 3) diagonal correlation entries of each link
+    eps: np.ndarray  # (p, 2) its filter strengths, (left, right)
+    first: np.ndarray  # (t,) index of each trial's first link; its second link follows
     quats: np.ndarray  # (t, 2, 2, 4) normal draws, one quaternion before normalising, (left, right) per link
     b_lin: np.ndarray  # (t,)
-    lone_w: np.ndarray  # (p, 3)
-    lone_eps: np.ndarray  # (p, 2)
     rejected: int
     annihilated: int
 
@@ -475,8 +476,8 @@ def _draw_trials(rng: np.random.Generator, count: int) -> _Draws:
     these scalar tests, so no matrix is built here except near the annihilation threshold.
     """
     trials: list[tuple] = []
-    lone_w: list[list[float]] = []
-    lone_eps: list[list[float]] = []
+    link_w: list[list[float]] = []
+    link_eps: list[list[float]] = []
     rejected = 0
     annihilated = 0
     while len(trials) < count:
@@ -486,27 +487,25 @@ def _draw_trials(rng: np.random.Generator, count: int) -> _Draws:
         if blin > 1.0:
             rejected += 1
             continue
-        eps = rng.uniform(size=(2, 2)).tolist()
+        start = len(link_w)
         quats = []
-        for w, (eps_l, eps_r) in zip(w_pair, eps):
-            if _link_annihilates(w, eps_l, eps_r):
+        for w, eps in zip(w_pair, rng.uniform(size=(2, 2)).tolist()):
+            if _link_annihilates(w, *eps):
                 break
+            link_w.append(w)
+            link_eps.append(eps)
             quats += [rng.normal(size=4), rng.normal(size=4)]
         if len(quats) == 4:
-            trials.append((w_pair, eps, quats, blin))
-            continue
-        annihilated += 1
-        if quats:
-            lone_w.append(w_pair[0])
-            lone_eps.append(eps[0])
-    w, eps, quats, blins = zip(*trials)
+            trials.append((start, quats, blin))
+        else:
+            annihilated += 1
+    starts, quats, blins = zip(*trials)
     return _Draws(
-        w=np.array(w),
-        eps=np.array(eps),
+        w=np.array(link_w),
+        eps=np.array(link_eps),
+        first=np.array(starts),
         quats=np.array(quats).reshape(-1, 2, 2, 4),
         b_lin=np.array(blins),
-        lone_w=np.array(lone_w, dtype=float).reshape(-1, 3),
-        lone_eps=np.array(lone_eps, dtype=float).reshape(-1, 2),
         rejected=rejected,
         annihilated=annihilated,
     )
@@ -520,19 +519,16 @@ def _bound_trials(draws: _Draws) -> tuple[float, np.ndarray, np.ndarray]:
     failure raises.  The arithmetic is that of from_bloch, apply_link_filter, NetworkSpec and
     b_seq on one trial at a time, so every value equals theirs to the bit.
     """
-    # Every link past its own filter, the trials' links first.
-    link_w = np.concatenate([draws.w.reshape(-1, 3), draws.lone_w])
-    link_eps = np.concatenate([draws.eps.reshape(-1, 2), draws.lone_eps])
-    diagonal_w = np.zeros((len(link_w), 3, 3))
+    diagonal_w = np.zeros((len(draws.w), 3, 3))
     diagonal = (slice(None), *np.diag_indices(3))
-    diagonal_w[diagonal] = link_w
-    zeros = np.zeros((len(link_w), 3))
+    diagonal_w[diagonal] = draws.w
+    zeros = np.zeros((len(draws.w), 3))
     aligned = from_bloch(zeros, zeros, diagonal_w)
     # The direct filter, each link a chain of one, against the closed form.
-    direct, direct_success, _ = _filter_chains(aligned[:, None], link_eps[:, None])
-    eps_l, eps_r = link_eps.T
-    c1 = _closed_form_c1(link_w[:, 2], eps_l, eps_r)
-    diagonal_w[diagonal] = np.stack(_closed_form_entries(*link_w.T, eps_l, eps_r, c1), axis=-1)
+    direct, direct_success, _ = _filter_chains(aligned[:, None], draws.eps[:, None])
+    eps_l, eps_r = draws.eps.T
+    c1 = _closed_form_c1(draws.w[:, 2], eps_l, eps_r)
+    diagonal_w[diagonal] = np.stack(_closed_form_entries(*draws.w.T, eps_l, eps_r, c1), axis=-1)
     closed_success = c1 / 4.0
     max_dev = max(
         float(np.abs(_bloch_form(direct[:, 0]).W - diagonal_w).max()),
@@ -543,9 +539,9 @@ def _bound_trials(draws: _Draws) -> tuple[float, np.ndarray, np.ndarray]:
     unitaries = _quaternion_unitary(np.moveaxis(draws.quats / norms, -1, 0)[..., None, None])
     # Rotate each link by the Kronecker product of its two local unitaries, element by element as np.kron.
     local = (unitaries[:, :, 0, :, None, :, None] * unitaries[:, :, 1, None, :, None, :]).reshape(-1, 2, 4, 4)
-    links = aligned[: 2 * len(draws.w)].reshape(-1, 2, 4, 4)
-    rotated = validate_density(local @ links @ local.conj().swapaxes(-1, -2))
-    filtered, _, passed = _filter_chains(rotated, draws.eps)
+    pairs = draws.first[:, None] + np.arange(2)
+    rotated = validate_density(local @ aligned[pairs] @ local.conj().swapaxes(-1, -2))
+    filtered, _, passed = _filter_chains(rotated, draws.eps[pairs])
     return max_dev, passed, _bound(_bloch_form(filtered[passed]).W)
 
 

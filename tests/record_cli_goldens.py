@@ -70,25 +70,28 @@ _BITFLIP_THRESHOLD = {
 }
 
 
-def _explicit(diagonal, entry=None, imag=0.0):
-    """An ``explicit`` link: ``diagonal`` plus ``imag``·i on the diagonal, and ``entry`` ((row, col), value)."""
+def _explicit(diagonal, entries=(), imag=0.0):
+    """An ``explicit`` link: ``diagonal`` plus ``imag``·i on the diagonal, and ``entries`` ((row, col), value)."""
     matrix = [[[0.0, 0.0] for _ in range(4)] for _ in range(4)]
     for k, value in enumerate(diagonal):
         matrix[k][k] = [value, imag]
-    if entry is not None:
-        (row, col), value = entry
-        matrix[row][col][0] = value
+    for (row, col), value in entries:
+        matrix[row][col] = [complex(value).real, complex(value).imag]
     return {"family": "explicit", "matrix": matrix}
 
 
 # A valid link whose 5e-11 at [1][3] the filter diag(1e-4, 1e-4, 1, 1) amplifies to a
 # Hermiticity deviation of 5e-7, and one whose -9e-10 eigenvalue it amplifies to about -0.22.
-_SKEWED = _explicit([0.5, 0.5, 0.0, 0.0], ((1, 3), 5e-11))
+_SKEWED = _explicit([0.5, 0.5, 0.0, 0.0], [((1, 3), 5e-11)])
 _BARELY_VALID = _explicit([0.5, 0.25, 0.25 + 9e-10, -9e-10])
 _WERNER_ONE = {"family": "werner", "p": 1.0}
 # A valid link with 2.4999e-10i on each diagonal entry, which filters near 1 renormalise
 # to a trace deviation of 1.02e-9 while every Hermiticity deviation stays under 1e-9.
 _TRACE_SKEWED = _explicit([1.0, 0.0, 0.0, 0.0], imag=2.4999e-10)
+# I/4 with 5e-10i at [0][1] and [1][0]: valid (Hermiticity deviation 1e-9), but its decomposition
+# has an imaginary part of 1e-9.  The middle filter 0 annihilates |00><00| on link 2, so eval must
+# decompose the raw chain before it filters: the decomposition error wins over the annihilation.
+_IMAG_COEFFICIENT = _explicit([0.25] * 4, [((0, 1), 5e-10j), ((1, 0), 5e-10j)])
 _REPRODUCE_IDS = (
     "bilocal-grud",
     "bilocal-grud-allfilter",
@@ -135,6 +138,9 @@ CASES = [
      ["eval", "--config", "{config}"]),
     ("eval-filtered-trace",
      {"links": [_TRACE_SKEWED, {"family": "werner", "p": 0.5}], "filters": {"first": 0.99, "middle": [[0.99, 1.0]]}},
+     ["eval", "--config", "{config}"]),
+    ("eval-decomposition-before-filter",
+     {"links": [_IMAG_COEFFICIENT, _explicit([1.0, 0.0, 0.0, 0.0])], "filters": {"middle": [[1.0, 0.0]]}},
      ["eval", "--config", "{config}"]),
     ("eval-annihilated", _ANNIHILATED, ["eval", "--config", "{config}"]),
     ("scan-annihilated", _ANNIHILATED_SCAN, ["scan", "--config", "{config}"]),

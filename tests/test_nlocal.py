@@ -156,6 +156,17 @@ class TestSpecTypes:
             )
 
 
+# Every consumer of a spec's filtered chain, called once each.
+SPEC_CONSUMERS = [
+    evaluate,
+    b_seq,
+    lambda spec: maximize_lhs(spec, restarts=0),
+    lambda spec: lhs_at_settings(spec, OPTIMAL_SINGLET_SETTINGS),
+    lambda spec: born_oracle(spec, OPTIMAL_SINGLET_SETTINGS),
+    lambda spec: born_distribution(spec, OPTIMAL_SINGLET_SETTINGS, 0, 1),
+]
+
+
 class TestFilteredStates:
     """Each filtered path sees the same validated filter output."""
 
@@ -165,14 +176,8 @@ class TestFilteredStates:
 
     @pytest.mark.parametrize(
         "entry",
-        [
-            evaluate,
-            lambda spec: b_seq(spec),
-            lambda spec: maximize_lhs(spec, restarts=0),
-            lambda spec: lhs_at_settings(spec, OPTIMAL_SINGLET_SETTINGS),
-            lambda spec: born_oracle(spec, OPTIMAL_SINGLET_SETTINGS),
-        ],
-        ids=["evaluate", "b_seq", "maximize_lhs", "lhs_at_settings", "born_oracle"],
+        SPEC_CONSUMERS,
+        ids=["evaluate", "b_seq", "maximize_lhs", "lhs_at_settings", "born_oracle", "born_distribution"],
     )
     def test_every_path_rejects_an_amplified_negative_eigenvalue(self, entry) -> None:
         spec = NetworkSpec(links=(self.BARELY_VALID, SINGLET), filters=self.STRONG)
@@ -185,6 +190,58 @@ class TestFilteredStates:
         assert bound <= 1.0
         assert evaluate(exact).b_seq == bound
         assert maximize_lhs(exact, restarts=0)[0] == pytest.approx(bound, abs=1e-6)
+
+
+# The middle filter 0 annihilates |00><00| on link 2.
+PRODUCT_00 = np.diag([1.0, 0.0, 0.0, 0.0])
+CUT_MIDDLE = NetworkFilterSpec(middle=((1.0, 0.0),))
+
+
+class TestFilteredOnce:
+    """A spec filters its chain on first use and keeps the result, but not a failure."""
+
+    @pytest.fixture
+    def filter_calls(self, monkeypatch) -> list:
+        calls = []
+
+        def counted(states, spec):
+            calls.append(spec)
+            return filter_network(states, spec)
+
+        monkeypatch.setattr("qnetfilter.nlocal.filter_network", counted)
+        return calls
+
+    def test_every_consumer_shares_one_filter_call(self, filter_calls) -> None:
+        spec = NetworkSpec(links=(SINGLET, werner_state(0.8)), filters=NetworkFilterSpec(middle=((0.7, 0.9),)))
+        assert filter_calls == []
+        for consume in SPEC_CONSUMERS:
+            consume(spec)
+        assert len(filter_calls) == 1
+
+    def test_an_annihilating_spec_builds_and_raises_on_every_use(self, filter_calls) -> None:
+        spec = NetworkSpec(links=(SINGLET, PRODUCT_00), filters=CUT_MIDDLE)
+        message = r"^link 2: post-selection success probability 0\.000e\+00"
+        for consume in SPEC_CONSUMERS * 2:
+            with pytest.raises(FilterAnnihilatesState, match=message):
+                consume(spec)
+        assert len(filter_calls) == 2 * len(SPEC_CONSUMERS)
+
+    def test_the_filtered_links_are_read_only(self) -> None:
+        spec = NetworkSpec(links=(SINGLET, werner_state(0.8)), filters=NetworkFilterSpec(middle=((0.7, 0.9),)))
+        filtered, success = spec._filtered
+        assert filtered.shape == (2, 4, 4) and 0.0 < success < 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            filtered[0, 0, 0] = 1.0
+
+    def test_evaluate_decomposes_the_raw_chain_before_it_filters(self) -> None:
+        # Valid to a Hermiticity deviation of 1e-9, but its decomposition has an imaginary part.
+        skewed = np.eye(4, dtype=complex) / 4.0
+        skewed[0, 1] = skewed[1, 0] = 5e-10j
+        spec = NetworkSpec(links=(skewed, PRODUCT_00), filters=CUT_MIDDLE)
+        with pytest.raises(FilterAnnihilatesState, match="^link 2: "):
+            b_seq(spec)
+        with pytest.raises(ValueError, match="^decomposition coefficient has imaginary part 1.000e-09$"):
+            evaluate(spec)
 
 
 class TestBLin:
