@@ -189,6 +189,24 @@ def evaluate(spec: NetworkSpec) -> EvalResult:
     return EvalResult(b_lin=unfiltered, b_seq=bound, success_prob=success, violation=bound > 1.0)
 
 
+def _lhs_product(
+    first_z: float, middle_z: tuple | list, last_z: float, first_x: float, middle_x: tuple | list, last_x: float
+) -> float:
+    """The LHS from each parity's end projections and the middle links' diagonal entries.
+
+    Each parity's product runs from its first projection through the middle entries, in
+    chain order, to its last projection.  The one definition of the LHS: ``_lhs_core``
+    feeds it any chain's projections and ``maximize_lhs``'s objective its own.
+    """
+    total = 0.0
+    for value, middle, last in ((first_z, middle_z, last_z), (first_x, middle_x, last_x)):
+        for entry in middle:
+            value *= entry
+        value *= last
+        total += math.sqrt(abs(value))
+    return 0.5 * total
+
+
 def _lhs_core(
     tensors: np.ndarray | list,
     m0: np.ndarray,
@@ -198,25 +216,21 @@ def _lhs_core(
 ) -> float:
     # h = 0 pairs the summed end vectors with the z@z parity of every
     # intermediate party, h = 1 the differences with the x@x parity.
-    # Scalar arithmetic: this sits in the optimizer's inner loop.
-    first, last = tensors[0], tensors[-1]
-    total = 0.0
+    # lhs_at_settings projects its lab-frame end vectors here; the products are _lhs_product's.
+    first, last, middle = tensors[0], tensors[-1], tensors[1:-1]
+    factors = []
     for h, axis in ((0, 2), (1, 0)):
         sign = 1.0 if h == 0 else -1.0
-        value = (
+        factors += [
             (m0[0] + sign * m1[0]) * first[0][axis]
             + (m0[1] + sign * m1[1]) * first[1][axis]
-            + (m0[2] + sign * m1[2]) * first[2][axis]
-        )
-        for w in tensors[1:-1]:
-            value *= w[axis][axis]
-        value *= (
+            + (m0[2] + sign * m1[2]) * first[2][axis],
+            [w[axis][axis] for w in middle],
             last[axis][0] * (n0[0] + sign * n1[0])
             + last[axis][1] * (n0[1] + sign * n1[1])
-            + last[axis][2] * (n0[2] + sign * n1[2])
-        )
-        total += math.sqrt(abs(value))
-    return 0.5 * total
+            + last[axis][2] * (n0[2] + sign * n1[2]),
+        ]
+    return _lhs_product(*factors)
 
 
 def lhs_at_settings(spec: NetworkSpec, settings: MeasurementSettings) -> float:
@@ -247,7 +261,7 @@ def maximize_lhs(
     The LHS runs on each filtered link's tensor in the canonical frame,
     diag(t2, t3, t1) up to the sign of t3 (which leaves the maximum invariant);
     the returned settings therefore apply to the chain rotated by
-    ``canonical_frame``.  The LHS never reads the t3 entry, so the tensors come
+    ``canonical_frame``.  The LHS never reads the t3 entry, so t1 and t2 come
     from one SVD of the filtered stack.
 
     The LHS reads each end pair only through the z component of its sum and the
@@ -263,18 +277,23 @@ def maximize_lhs(
     """
     seed = _non_negative_int("seed", seed)
     restarts = _non_negative_int("restarts", restarts)
-    tensors = [
-        ((t2, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, t1))
-        for t1, t2, _ in np.linalg.svd(_bloch_form(spec._filtered[0]).W, compute_uv=False).tolist()
-    ]
+    t1, t2, _ = zip(*np.linalg.svd(_bloch_form(spec._filtered[0]).W, compute_uv=False).tolist())
+    middle_t1, middle_t2 = t1[1:-1], t2[1:-1]
+    cos, sin = math.cos, math.sin
 
     def negative_lhs(angles: list[float]) -> float:
-        return -_lhs_core(tensors, *[(math.sin(a), 0.0, math.cos(a)) for a in angles])
+        # _lhs_core on the tensors diag(t2, 0, t1) and the end vectors (sin a, 0, cos a): each
+        # end projection is one product, as its other two terms are zeros (whose sign abs drops).
+        a0, a1, b0, b1 = angles
+        return -_lhs_product(
+            (cos(a0) + cos(a1)) * t1[0], middle_t1, t1[-1] * (cos(b0) + cos(b1)),
+            (sin(a0) - sin(a1)) * t2[0], middle_t2, t2[-1] * (sin(b0) - sin(b1)),
+        )
 
     # Closed-form optimum: mix axis 3 and axis 1 with tan(alpha) =
     # sqrt(prod t2 / prod t1) at both ends, +alpha for m0 and n0, -alpha for m1 and n1.
-    prod_t1 = float(np.prod([w[2][2] for w in tensors]))
-    prod_t2 = float(np.prod([w[0][0] for w in tensors]))
+    prod_t1 = float(np.prod(t1))
+    prod_t2 = float(np.prod(t2))
     alpha = float(np.arctan2(np.sqrt(prod_t2), np.sqrt(prod_t1)))
     warm = np.array([alpha, -alpha, alpha, -alpha])
 
@@ -334,15 +353,12 @@ def _link_tensors(spec: NetworkSpec) -> np.ndarray:
     return spec._filtered[0].reshape(-1, 2, 2, 2, 2)
 
 
-def _distribution(
-    links: np.ndarray, settings: MeasurementSettings, y_first: int, y_last: int
-) -> np.ndarray:
+def _distribution(links: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
     """``p[o_first, bell_2, ..., bell_n, o_last]``, the Born rule traced link by link.
 
-    ``partial[..., b, b']`` has every qubit traced out up to the latest link's right one.
+    ``first`` and ``last`` are the end parties' ``_spin_projectors``.  ``partial[..., b, b']``
+    has every qubit traced out up to the latest link's right one.
     """
-    first = _spin_projectors(settings.m0 if y_first == 0 else settings.m1)
-    last = _spin_projectors(settings.n0 if y_last == 0 else settings.n1)
     partial = np.einsum("oxa,abxc->obc", first, links[0])
     for link in links[1:]:
         partial = np.einsum("...bc,mcybz,zdye->...mde", partial, _BELL_TENSORS, link)
@@ -361,7 +377,9 @@ def born_distribution(
     if y_first not in (0, 1) or y_last not in (0, 1):
         raise ValueError("settings choices must be 0 or 1")
     links = _link_tensors(spec)
-    return {outcome: float(p) for outcome, p in np.ndenumerate(_distribution(links, settings, y_first, y_last))}
+    first = _spin_projectors(settings.m0 if y_first == 0 else settings.m1)
+    last = _spin_projectors(settings.n0 if y_last == 0 else settings.n1)
+    return {outcome: float(p) for outcome, p in np.ndenumerate(_distribution(links, first, last))}
 
 
 @dataclass(frozen=True)
@@ -388,15 +406,18 @@ def born_oracle(spec: NetworkSpec, settings: MeasurementSettings) -> OracleResul
     Independent of the closed-form path: probabilities come from projector
     traces on the filtered link states, the middle parities from the Bell outcome
     bits.  Serves as the ground truth for lhs_at_settings.  All four setting pairs
-    read the spec's filtered chain, which is filtered once per spec.
+    read the spec's filtered chain, which is filtered once per spec, and each end's
+    projectors, which are built once per call.
     """
     links = _link_tensors(spec)
     sign_zz, sign_xx = _parity_signs(spec.n, 0), _parity_signs(spec.n, 1)
+    firsts = [_spin_projectors(settings.m0), _spin_projectors(settings.m1)]
+    lasts = [_spin_projectors(settings.n0), _spin_projectors(settings.n1)]
     i_value = 0.0
     j_value = 0.0
     max_dev = 0.0
     for y_first, y_last in itertools.product((0, 1), repeat=2):
-        distribution = _distribution(links, settings, y_first, y_last)
+        distribution = _distribution(links, firsts[y_first], lasts[y_last])
         max_dev = max(max_dev, abs(float(distribution.sum()) - 1.0))
         i_value += float((sign_zz * distribution).sum())
         j_value += (-1.0) ** (y_first + y_last) * float((sign_xx * distribution).sum())

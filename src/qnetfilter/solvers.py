@@ -5,12 +5,19 @@ Both loops are ports of scipy 1.17's ``minimize(method="Nelder-Mead")`` and
 return the same floats; the tests pin them against scipy.  Written out here
 so that the package needs only numpy.  On the simplex method see Lagarias et
 al., SIAM J. Optim. 9, 112 (1998).
+
+After a step that replaces only the worst vertex, the new one is inserted
+among the others instead of the simplex being re-sorted.  When their values
+and the new one are distinct and not NaN, there is only one sorted order, so
+the insertion gives the order ``np.argsort`` gives; otherwise the simplex is
+sorted as scipy sorts it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,9 +129,12 @@ def minimize(objective, x0, bounds=None) -> MinimizeResult:
     for _ in range(2):  # scipy sorts the first simplex twice, which can reorder ties
         order = _order(fsim)
         sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    # Whether the values of all but the worst vertex strictly increase.
+    kept_increasing = all(map(operator.lt, fsim[:-2], fsim[1:-1]))
 
     iterations = 1
     while nfev < MAXFEV and iterations < MAXITER:
+        replaced = False
         try:
             best = sim[0]
             # fsim is sorted with any NaN last, so fsim[-1] - fsim[0] is its largest distance
@@ -168,11 +178,21 @@ def minimize(objective, x0, bounds=None) -> MinimizeResult:
                     vertex = [b + SHRINK * (v - b) for b, v in zip(best, sim[j])]
                     sim[j] = vertex if bounds is None else clip(vertex)
                     fsim[j] = evaluate(sim[j])
+            replaced = not shrink
             iterations += 1
         except _TooManyEvaluations:
             pass  # a vertex moved by the shrink keeps its old value, as in scipy
-        order = _order(fsim)
-        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        # Only the worst vertex changed: insert it among the kept ones when that order is unique.
+        # Its value won a comparison to be kept, so it is not NaN.
+        value = fsim[-1]
+        k = bisect_left(fsim, value, 0, n)
+        if replaced and kept_increasing and (k == n or fsim[k] != value):
+            sim.insert(k, sim.pop())
+            fsim.insert(k, fsim.pop())
+        else:
+            order = _order(fsim)
+            sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+            kept_increasing = all(map(operator.lt, fsim[:-2], fsim[1:-1]))
 
     return MinimizeResult(
         x=sim[0], fun=np.min(fsim), nfev=nfev, success=nfev < MAXFEV and iterations < MAXITER

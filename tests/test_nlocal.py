@@ -494,6 +494,31 @@ class TestMaximizeLhs:
             assert value == -min(run.fun for run in runs)
             assert -min(run.fun for run in runs[1:]) == pytest.approx(b_seq(spec)[0], abs=1e-6)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_objective_is_lhs_core_in_the_xz_plane(self, monkeypatch, n) -> None:
+        """The optimizer's objective is -_lhs_core on the tensors diag(t2, 0, t1), bit for bit."""
+        objectives = []
+
+        def recording(objective, x0, bounds):
+            objectives.append(objective)
+            return minimize(objective, x0, bounds)
+
+        monkeypatch.setattr(nlocal, "minimize", recording)
+        rng = np.random.default_rng(190 + n)
+        eps = rng.uniform(0.3, 1.0, size=2 * n)
+        spec = NetworkSpec(
+            links=tuple(random_density(rng) for _ in range(n)),
+            filters=NetworkFilterSpec(eps_first=eps[0], eps_last=eps[1], middle=tuple(zip(eps[2::2], eps[3::2]))),
+        )
+        maximize_lhs(spec, restarts=0)
+        t1, t2, _ = np.linalg.svd(_bloch_form(spec._filtered[0]).W, compute_uv=False).T
+        tensors = np.array([np.diag([b, 0.0, a]) for a, b in zip(t1, t2)])
+        # Sums of cosines and differences of sines cancel to +0 or -0 among these angles.
+        special = itertools.product([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi], repeat=4)
+        for angles in [*special, *rng.uniform(-np.pi, np.pi, size=(200, 4)).tolist()]:
+            vectors = [(math.sin(a), 0.0, math.cos(a)) for a in angles]
+            assert _bits([objectives[0](list(angles))]) == _bits([-nlocal._lhs_core(tensors, *vectors)])
+
     def test_deterministic_for_fixed_seed(self) -> None:
         rng = np.random.default_rng(113)
         spec = NetworkSpec(links=(random_density(rng), random_density(rng)))
@@ -596,6 +621,22 @@ class TestSolversMatchScipy:
         # ties (it does with AVX-512), and the port must follow it.
         result = assert_minimize_matches_scipy(objective, [0.7, -0.4, 0.2, 0.9, -0.6, 0.1, 0.5, 0.0])
         assert result.success
+
+    @pytest.mark.parametrize(
+        "x0", [[0.7, -0.4], [-1.5, 2.0], [3.0, 0.0], [0.0, 0.0]], ids=["near", "far", "on-axis", "origin"]
+    )
+    def test_values_that_tie_mid_run_sort_as_scipy(self, x0) -> None:
+        # A quantised bowl: once the steps fall below its 1/64 levels, trial points tie the vertices they join.
+        assert_minimize_matches_scipy(lambda x: math.floor(64 * ((x[0] - 0.3) ** 2 + (x[1] + 0.1) ** 2)) / 64, x0)
+
+    @pytest.mark.parametrize(
+        "x0", [[0.5, 0.5], [2.0, -1.0], [0.05, 0.3]], ids=["near", "far", "at-edge"]
+    )
+    def test_nan_values_that_appear_mid_run_match(self, x0) -> None:
+        # The bowl's minimum lies in the half-plane x[0] < 0, where the objective is NaN.
+        assert_minimize_matches_scipy(
+            lambda x: math.nan if x[0] < 0.0 else (x[0] + 0.1) ** 2 + (x[1] - 0.2) ** 2, x0
+        )
 
     def test_diverging_run_stops_at_maxfev_as_scipy(self) -> None:
         # Unbounded below: the simplex expands until it overflows, and the evaluation cap ends the run mid-iteration.
