@@ -86,8 +86,8 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _first_failure(mat: np.ndarray) -> tuple[tuple[int, ...], ValueError] | None:
-    """The C-order index of the first failing matrix of a complex ``(..., 4, 4)`` stack and its error, or None."""
+def _first_failure(mat: np.ndarray) -> tuple[tuple[int, ...], ValueError]:
+    """The C-order index of the first failing matrix of a complex ``(..., 4, 4)`` stack and its error."""
     adjoint = mat.swapaxes(-1, -2).conj()
     herm_dev = np.abs(mat - adjoint).max(axis=(-2, -1))
     trace_dev = np.abs(mat.trace(axis1=-2, axis2=-1) - 1.0)
@@ -96,8 +96,6 @@ def _first_failure(mat: np.ndarray) -> tuple[tuple[int, ...], ValueError] | None
     eigmin = np.zeros(mat.shape[:-2])
     eigmin[checked] = np.linalg.eigvalsh(0.5 * (mat + adjoint)[checked])[..., 0]
     failing = np.argwhere(~checked | (eigmin < -POSITIVITY_ATOL))
-    if not len(failing):
-        return None
     index = tuple(failing[0])
     if not math.isfinite(herm_dev[index]):
         return index, ValueError("matrix entries are not finite")

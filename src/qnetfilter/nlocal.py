@@ -158,9 +158,9 @@ def _bound(tensors: np.ndarray | list[np.ndarray]) -> float | np.ndarray:
     """
     first = 1.0
     second = 1.0
-    # Transposed, the singular values come first and the links second.
-    svs = np.linalg.svd(tensors, compute_uv=False).T
-    for t1, t2 in zip(svs[0], svs[1]):
+    svs = np.linalg.svd(tensors, compute_uv=False)
+    # Link by link: one chain's singular values as floats, a stack's (transposed) as arrays of t.
+    for t1, t2, _ in svs.tolist() if svs.ndim == 2 else zip(*svs.T):
         first *= t1
         second *= t2
     return math.sqrt(first + second) if svs.ndim == 2 else np.sqrt(first + second)
@@ -182,10 +182,9 @@ def b_seq(spec: NetworkSpec) -> tuple[float, float]:
 
 
 def evaluate(spec: NetworkSpec) -> EvalResult:
-    """Evaluate both bounds, the success probability and the violation flag; one SVD takes both chains."""
-    raw = _bloch_form(spec.links).W  # before filtering: the raw chain's decomposition error comes first
-    filtered, success = spec._filtered
-    unfiltered, bound = _bound(np.array([raw, _bloch_form(filtered).W])).tolist()
+    """Both bounds, the success probability and the violation flag: the raw chain's bound, then ``b_seq``."""
+    unfiltered = _bound(_bloch_form(spec.links).W)  # before filtering: its decomposition error comes first
+    bound, success = b_seq(spec)
     return EvalResult(b_lin=unfiltered, b_seq=bound, success_prob=success, violation=bound > 1.0)
 
 

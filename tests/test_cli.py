@@ -21,6 +21,7 @@ from qnetfilter import (
     NetworkSpec,
     apply_channel,
     b_lin,
+    b_seq,
     bit_flip,
     build_network,
     build_states,
@@ -322,6 +323,9 @@ def _channel_config(**channel):
         ("optimize --free filters.middle.0.0", dict(_example_config(), seed=-3), "seed must be non-negative, got -3"),
         ("oracle --seed -1", _example_config(), "--seed must be non-negative, got -1"),
         ("optimize --free= --seed -1", _example_config(), "--seed must be non-negative, got -1"),
+        ("eval", _link_config(5), "links.0 must be an object"),
+        ("eval", dict(_example_config(), channels={"link": 1}), "channels must be an array"),
+        ("scan", _one_axis_config(path="links"), "links must be a non-empty array"),
     ],
     ids=[
         "scan-min-string", "threshold-min-string", "scan-max-null", "threshold-min-null",
@@ -334,7 +338,8 @@ def _channel_config(**channel):
         "eval-explicit-true", "eval-explicit-string", "scan-repeated-path", "scan-repeated-index-spelling",
         "scan-axes-overlap-by-prefix",
         "oracle-seed-negative", "optimize-seed-negative", "oracle-flag-seed-negative",
-        "optimize-no-free-flag-seed-negative",
+        "optimize-no-free-flag-seed-negative", "eval-link-not-object", "eval-channels-object",
+        "scan-axis-replaces-links",
     ],
 )
 def test_malformed_field_is_a_config_error(tmp_path, capsys, command, cfg, message):
@@ -897,6 +902,28 @@ def test_optimize_cannot_push_product_link_past_one(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["seed"] == 5
     assert payload["best"]["b_seq"] <= 1.0 + 1e-9
+
+
+def test_optimize_scores_an_annihilating_assignment_below_every_bound(tmp_path, capsys, monkeypatch):
+    # The start, eps_first = 0, annihilates link 1: it scores -1.0 and the search moves off it.
+    raised = []
+
+    def recorded_b_seq(spec):
+        try:
+            return b_seq(spec)
+        except FilterAnnihilatesState as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr("qnetfilter.cli.b_seq", recorded_b_seq)
+    cfg = {
+        "links": [{"family": "grud", "v": 1.0, "x": 0.23}, {"family": "werner", "p": 1.0}],
+        "filters": {"first": 0.0, "middle": [[1.0, 1.0]]},
+    }
+    code, out, err = _run(capsys, "optimize", "--config", _write(tmp_path, cfg), "--free", "filters.first")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["argmax"]["filters.first"] > 0.0
+    assert raised
 
 
 # The whole stdout of optimize over the example's intermediate pair, recorded while every

@@ -398,6 +398,19 @@ class TestBSeq:
         )
         assert loud.violation and loud.b_seq > 1.0
 
+    def test_evaluate_is_b_lin_and_b_seq_to_the_bit(self) -> None:
+        rng = np.random.default_rng(211)
+        for _ in range(600):
+            n = int(rng.integers(2, 6))
+            links = tuple(random_density(rng) for _ in range(n))
+            eps = rng.uniform(0.0, 1.0, size=2 * n)
+            middle = tuple(zip(eps[1:-1:2], eps[2::2]))
+            filters = None if rng.uniform() < 0.2 else NetworkFilterSpec(eps[0], eps[-1], middle)
+            spec = NetworkSpec(links=links, filters=filters)
+            result = evaluate(spec)
+            assert _bits([result.b_lin, result.b_seq, result.success_prob]) == _bits([b_lin(links), *b_seq(spec)])
+            assert result.violation == (result.b_seq > 1.0)
+
 
 class TestLhsAtSettings:
     def test_singlet_pair_at_the_optimal_settings(self) -> None:
@@ -714,10 +727,20 @@ class TestSolversMatchScipy:
     def test_bisect_matches(self, f, a, b, xtol) -> None:
         assert _bits([bisect(f, a, b, xtol=xtol)]) == _bits([scipy_bisect(f, a, b, xtol=xtol)])
 
-    def test_bisect_rejects_a_bracket_without_a_sign_change(self) -> None:
+    @pytest.mark.parametrize(
+        "f, a, b, xtol, error, message",
+        [
+            (lambda x: x * x + 1.0, -1.0, 1.0, 2e-12, ValueError, "different signs"),
+            (lambda x: float("nan") if x == 0.0 else x - 0.3, 0.0, 1.0, 2e-12, ValueError, "NaN"),
+            (lambda x: float("nan") if 0.4 < x < 0.6 else x - 0.7, 0.0, 1.0, 1e-4, ValueError, "NaN"),
+            (lambda x: x - 1e-300, -1.0, 1.0, 1e-320, RuntimeError, "(?i)failed to converge after 100"),
+        ],
+        ids=["same-sign", "nan-at-an-endpoint", "nan-at-a-midpoint", "no-convergence"],
+    )
+    def test_bisect_rejects_a_bracket_without_a_sign_change(self, f, a, b, xtol, error, message) -> None:
         for solver in (bisect, scipy_bisect):
-            with pytest.raises(ValueError, match="different signs"):
-                solver(lambda x: x * x + 1.0, -1.0, 1.0)
+            with pytest.raises(error, match=message):
+                solver(f, a, b, xtol=xtol)
 
 
 # The dense Born-rule enumeration that the link-by-link contraction replaced:
