@@ -158,9 +158,9 @@ def _bound(tensors: np.ndarray | list[np.ndarray]) -> float | np.ndarray:
     """
     first = 1.0
     second = 1.0
-    svs = np.linalg.svd(tensors, compute_uv=False)
-    # Link by link: one chain's singular values as floats, a stack's (transposed) as arrays of t.
-    for t1, t2, _ in svs.tolist() if svs.ndim == 2 else zip(*svs.T):
+    # Transposed, the singular values come first and the links second.
+    svs = np.linalg.svd(tensors, compute_uv=False).T
+    for t1, t2 in zip(svs[0], svs[1]):
         first *= t1
         second *= t2
     return math.sqrt(first + second) if svs.ndim == 2 else np.sqrt(first + second)

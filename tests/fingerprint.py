@@ -3,7 +3,7 @@
     PYTHONPATH=src python3 tests/fingerprint.py
 
 The hash covers the ``float.hex`` of every float, and the type and message of
-every exception, that these calls give:
+every ``ValueError``, that these calls give:
 
 - ``evaluate``, ``b_seq`` and ``b_lin`` on 2,400 random chains of 2 to 5 links.
   A fifth of them have identity filters, some hold a ``|00>`` link whose left
@@ -57,13 +57,21 @@ def _words(value: object) -> list[str]:
     return [f"{type(value).__name__}:{value!r}"]
 
 
-def _record(digest, call, *args, **kwargs) -> None:
-    """Feed ``call(*args, **kwargs)``'s result, or the type and message of what it raised, to ``digest``."""
+def _record(digest, call, *args, **kwargs) -> bool:
+    """Feed ``call(*args, **kwargs)``'s result, or the type and message of its domain error, to ``digest``.
+
+    Returns whether the call raised.  Only ``ValueError`` and its subclasses (the package's validation
+    errors and ``FilterAnnihilatesState``) are outputs; any other exception propagates, so a script broken
+    the same way on two commits cannot print matching hashes.
+    """
     try:
         words = _words(call(*args, **kwargs))
-    except Exception as exc:  # the error is part of the output
+        raised = False
+    except ValueError as exc:
         words = [f"{type(exc).__name__}: {exc}"]
+        raised = True
     digest.update(("\n".join([call.__name__, *words]) + "\n").encode())
+    return raised
 
 
 def _random_density(rng: np.random.Generator) -> np.ndarray:
@@ -100,24 +108,27 @@ def _random_settings(rng: np.random.Generator) -> MeasurementSettings:
     return MeasurementSettings(*(vectors / np.linalg.norm(vectors, axis=1, keepdims=True)))
 
 
-def fingerprint() -> str:
+def fingerprint() -> tuple[str, int, int]:
+    """The hash, the number of calls and the number of them that raised."""
     digest = hashlib.sha256()
     rng = np.random.default_rng(2024)
+    outcomes = []
     for _ in range(2400):
         spec = _random_spec(rng, int(rng.integers(2, 6)), 0.0, special=True)
-        _record(digest, evaluate, spec)
-        _record(digest, b_seq, spec)
-        _record(digest, b_lin, spec.links)
+        outcomes.append(_record(digest, evaluate, spec))
+        outcomes.append(_record(digest, b_seq, spec))
+        outcomes.append(_record(digest, b_lin, spec.links))
     for seed in range(48):
         spec = _random_spec(rng, int(rng.integers(2, 5)), 0.3, special=False)
         settings = _random_settings(rng)
-        _record(digest, lhs_at_settings, spec, settings)
-        _record(digest, born_oracle, spec, settings)
-        _record(digest, maximize_lhs, spec, seed=seed, restarts=2)
+        outcomes.append(_record(digest, lhs_at_settings, spec, settings))
+        outcomes.append(_record(digest, born_oracle, spec, settings))
+        outcomes.append(_record(digest, maximize_lhs, spec, seed=seed, restarts=2))
     for seed in range(3):
-        _record(digest, conjecture_search, 300, seed=seed)
-    return digest.hexdigest()
+        outcomes.append(_record(digest, conjecture_search, 300, seed=seed))
+    return digest.hexdigest(), len(outcomes), sum(outcomes)
 
 
 if __name__ == "__main__":
-    print(fingerprint())
+    value, calls, raised = fingerprint()
+    print(f"{value}  ({raised} of {calls} calls raised)")
