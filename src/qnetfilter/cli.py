@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -473,6 +474,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process: in-process callers run main once per grid or config
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnetfilter",

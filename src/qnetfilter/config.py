@@ -261,23 +261,27 @@ def network_factory(cfg: dict, paths: Sequence[str]) -> Callable[[Sequence[float
 
     Each call assigns the values with ``config_with_values``.  It rebuilds the link
     states only when a value on a ``links.*`` or ``channels.*`` path differs from the
-    previous call that built without error; otherwise it reuses that call's states
-    and builds only the filters and the ``NetworkSpec``.
+    previous call that built without error; otherwise it derives the network from that
+    call's, for the new filters: the derived spec shares the validated links and their
+    unfiltered bound.
     """
     state_paths = [k for k, path in enumerate(paths) if path.split(".", 1)[0] in _STATE_FIELDS]
-    # The state-path values and the states of the last network built.
+    # The state-path values and the network of the last call that built without error.
     last_key: list[str] | None = None
-    last_states: list[np.ndarray] = []
+    last_spec: NetworkSpec | None = None
 
     def build(values: Sequence[float]) -> NetworkSpec:
-        nonlocal last_key, last_states
+        nonlocal last_key, last_spec
         point = config_with_values(cfg, dict(zip(paths, values)))
         key = [repr(values[k]) for k in state_paths]  # repr tells 0.0 from -0.0, which == does not
-        states = last_states if key == last_key else build_states(point)
-        if len(states) < 2:
-            raise ConfigError("links: a chain needs at least 2 links")
-        spec = NetworkSpec(links=tuple(states), filters=build_filter_spec(point, len(states)))
-        last_key, last_states = key, states
+        if key == last_key:
+            spec = last_spec._with_filters(build_filter_spec(point, last_spec.n))
+        else:
+            states = build_states(point)
+            if len(states) < 2:
+                raise ConfigError("links: a chain needs at least 2 links")
+            spec = NetworkSpec(links=tuple(states), filters=build_filter_spec(point, len(states)))
+        last_key, last_spec = key, spec
         return spec
 
     return build

@@ -85,7 +85,8 @@ class NetworkSpec:
 
     ``links`` takes any sequence of 4x4 density matrices and holds them, validated
     in one pass that names the first bad link, as a read-only ``(n, 4, 4)`` complex array.
-    Building a spec never filters: the chain is filtered once, on first use.
+    Building a spec never filters: the chain is filtered once, on first use.  A spec
+    derived for other filters shares the validated links and their unfiltered bound.
     """
 
     links: np.ndarray
@@ -106,6 +107,20 @@ class NetworkSpec:
     @property
     def n(self) -> int:
         return len(self.links)
+
+    def _with_filters(self, filters: NetworkFilterSpec) -> NetworkSpec:
+        """This chain under ``filters``: the links are not validated again, and a computed unfiltered bound is kept."""
+        _check_chain(self.n, filters)
+        derived = object.__new__(type(self))  # skips __post_init__, which would validate the links
+        derived.__dict__.update(links=self.links, filters=filters)
+        if "_unfiltered" in self.__dict__:
+            derived.__dict__["_unfiltered"] = self._unfiltered
+        return derived
+
+    @functools.cached_property
+    def _unfiltered(self) -> float:
+        """The raw chain's bound; a decomposition error raises on every use."""
+        return _bound(_bloch_form(self.links).W)
 
     @functools.cached_property
     def _filtered(self) -> tuple[np.ndarray, float]:
@@ -183,7 +198,7 @@ def b_seq(spec: NetworkSpec) -> tuple[float, float]:
 
 def evaluate(spec: NetworkSpec) -> EvalResult:
     """Both bounds, the success probability and the violation flag: the raw chain's bound, then ``b_seq``."""
-    unfiltered = _bound(_bloch_form(spec.links).W)  # before filtering: its decomposition error comes first
+    unfiltered = spec._unfiltered  # before filtering: its decomposition error comes first
     bound, success = b_seq(spec)
     return EvalResult(b_lin=unfiltered, b_seq=bound, success_prob=success, violation=bound > 1.0)
 

@@ -206,8 +206,10 @@ def bisect(f, a: float, b: float, xtol: float = 2e-12, f_a: float | None = None,
     below ``xtol + 4 eps |midpoint|``.  ``f_a`` and ``f_b`` are f(a) and f(b)
     when the caller has them already.  Raises ValueError when f(a) and f(b)
     have the same sign or ``f`` returns NaN, and RuntimeError after 100
-    halvings without convergence.
+    halvings without convergence.  Like scipy, rejects ``xtol <= 0`` before any evaluation.
     """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
     a, b = float(a), float(b)
     f_a = f(a) if f_a is None else f_a
     f_b = f(b) if f_b is None else f_b

@@ -11,7 +11,12 @@ every ``ValueError``, that these calls give:
   decomposition has an imaginary part (the raw chain's error comes first);
 - ``lhs_at_settings``, ``born_oracle`` and ``maximize_lhs(restarts=2)`` on 48
   chains of 2 to 4 links;
-- ``conjecture_search(300)`` for seeds 0, 1 and 2.
+- ``conjecture_search(300)`` for seeds 0, 1 and 2;
+- the networks that ``config.network_factory`` builds: the rows of a seeded 7x7
+  scan over a noise channel and a filter strength (``cli._scan_rows``), the
+  ``b_seq`` and ``b_lin`` thresholds along a filter axis (``cli._threshold``),
+  and ``optimize``'s objective, ``b_seq`` of the network at a filter
+  assignment, at 12 random assignments, one of which annihilates.
 
 Two commits that print the same hash computed the same bits on this corpus, so
 a change meant to keep every output can be checked by running the script before
@@ -37,6 +42,8 @@ from qnetfilter import (
     lhs_at_settings,
     maximize_lhs,
 )
+from qnetfilter import cli
+from qnetfilter.config import network_factory, scan_axes
 
 PRODUCT_00 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 # Valid to a Hermiticity deviation of 1e-9, but its decomposition has an imaginary part.
@@ -108,6 +115,40 @@ def _random_settings(rng: np.random.Generator) -> MeasurementSettings:
     return MeasurementSettings(*(vectors / np.linalg.norm(vectors, axis=1, keepdims=True)))
 
 
+def _scan_config(rng: np.random.Generator) -> dict:
+    """A trilocal grud chain with bit flip on link 2, scanned over the flip and one middle filter strength."""
+    return {
+        "links": [
+            {"family": "grud", "v": float(rng.uniform(0.0, 0.3)), "x": float(rng.uniform(0.1, 0.78))} for _ in range(3)
+        ],
+        "channels": [{"link": 2, "type": "bit_flip", "param": 0.0}],
+        "filters": {
+            "first": float(rng.uniform(0.5, 1.0)),
+            "last": float(rng.uniform(0.5, 1.0)),
+            "middle": rng.uniform(0.3, 1.0, size=(2, 2)).tolist(),
+        },
+        "scan": {"axes": [
+            {"path": "channels.0.param", "min": 0.0, "max": float(rng.uniform(0.1, 0.5)), "steps": 7},
+            {"path": "filters.middle.1.0", "min": float(rng.uniform(0.2, 0.5)), "max": 1.0, "steps": 7},
+        ]},
+    }
+
+
+# Two noisy pure links whose b_seq crosses 1 along the second middle strength; b_lin does not.
+THRESHOLD_CONFIG = {
+    "links": [{"family": "pure_theta", "theta": 0.62}, {"family": "pure_theta", "theta": 0.62}],
+    "channels": [{"link": 1, "type": "bit_flip", "param": 0.2}, {"link": 2, "type": "bit_flip", "param": 0.15}],
+    "filters": {"middle": [[0.98, 0.79]]},
+    "scan": {"axes": [{"path": "filters.middle.0.1", "min": 0.05, "max": 1.0, "steps": 2}]},
+}
+# A grud link and a |00> link: a second middle strength of 0, the left one on link 2, annihilates it.
+OPTIMIZE_CONFIG = {
+    "links": [{"family": "grud", "v": 0.1, "x": 0.23}, {"family": "product", "m": [0, 0, 1], "n": [0, 0, 1]}],
+    "filters": {"first": 1.0, "last": 1.0, "middle": [[0.8, 0.97]]},
+}
+OPTIMIZE_FREE = ["filters.first", "filters.middle.0.0", "filters.middle.0.1"]
+
+
 def fingerprint() -> tuple[str, int, int]:
     """The hash, the number of calls and the number of them that raised."""
     digest = hashlib.sha256()
@@ -126,6 +167,19 @@ def fingerprint() -> tuple[str, int, int]:
         outcomes.append(_record(digest, maximize_lhs, spec, seed=seed, restarts=2))
     for seed in range(3):
         outcomes.append(_record(digest, conjecture_search, 300, seed=seed))
+    outcomes.append(_record(digest, cli._scan_rows, _scan_config(rng)))
+    (axis,) = scan_axes(THRESHOLD_CONFIG)
+    for target in ("b_seq", "b_lin"):
+        outcomes.append(_record(digest, cli._threshold, THRESHOLD_CONFIG, axis, target))
+    build = network_factory(OPTIMIZE_CONFIG, OPTIMIZE_FREE)
+
+    def optimize_objective(values: list[float]) -> tuple[float, float]:
+        return b_seq(build(values))
+
+    assignments = rng.uniform(0.0, 1.0, size=(12, 3))
+    assignments[5, 2] = 0.0
+    for values in assignments.tolist():
+        outcomes.append(_record(digest, optimize_objective, values))
     return digest.hexdigest(), len(outcomes), sum(outcomes)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import re
 
@@ -11,20 +12,24 @@ import pytest
 
 from qnetfilter import (
     ConfigError,
+    NetworkSpec,
     amplitude_damping,
     apply_channel,
     bit_flip,
     build_network,
     build_settings,
     build_states,
+    evaluate,
     get_path,
     grud_state,
     load_config,
     matrix_to_pairs,
     scan_axes,
+    validate_density,
     werner_state,
 )
-from qnetfilter.config import build_filter_spec, config_seed, config_with_values
+from qnetfilter.cli import _scan_rows
+from qnetfilter.config import build_filter_spec, config_seed, config_with_values, network_factory
 
 
 def base_config() -> dict:
@@ -286,6 +291,84 @@ class TestBuildFilterSpecAndNetwork:
     def test_build_network_needs_two_links(self) -> None:
         with pytest.raises(ConfigError, match="at least 2"):
             build_network({"links": [{"family": "werner", "p": 0.5}]})
+
+
+def noisy_trilocal_config(outer: str, inner: str) -> dict:
+    """A trilocal grud chain with bit flip on link 2, scanned 7x7 over the noise and one filter strength."""
+    grids = {"channels.0.param": (0.0, 0.3), "filters.middle.0.1": (0.3, 1.0)}
+    return {
+        "links": [{"family": "grud", "v": 0.1, "x": x} for x in (0.35, 0.56, 0.78)],
+        "channels": [{"link": 2, "type": "bit_flip", "param": 0.0}],
+        "filters": {"first": 0.9, "last": 0.8, "middle": [[0.6, 0.99], [0.99, 0.99]]},
+        "scan": {"axes": [{"path": p, "min": grids[p][0], "max": grids[p][1], "steps": 7} for p in (outer, inner)]},
+    }
+
+
+def hex_words(spec: NetworkSpec) -> list[str]:
+    result = evaluate(spec)
+    return [float(getattr(result, name)).hex() for name in ("b_lin", "b_seq", "success_prob", "violation")]
+
+
+def fresh_network(cfg: dict, paths: list[str], values) -> NetworkSpec:
+    """The network at ``values``, built from its own states with no reuse."""
+    point = config_with_values(cfg, dict(zip(paths, values)))
+    return NetworkSpec(tuple(build_states(point)), build_filter_spec(point, 3))
+
+
+class TestNetworkFactory:
+    """A repeated state key derives the network from the last one built; any other key builds it anew."""
+
+    ORDERS = pytest.mark.parametrize(
+        "outer, inner, validations",
+        [("channels.0.param", "filters.middle.0.1", 7), ("filters.middle.0.1", "channels.0.param", 49)],
+        ids=["states-outer", "states-inner"],
+    )
+
+    @pytest.fixture
+    def validated(self, monkeypatch) -> list:
+        calls = []
+
+        def counted(rho):
+            calls.append(np.shape(rho))
+            return validate_density(rho)
+
+        monkeypatch.setattr("qnetfilter.nlocal.validate_density", counted)
+        return calls
+
+    @ORDERS
+    def test_a_scan_validates_the_links_once_per_state_key(self, validated, outer, inner, validations) -> None:
+        _scan_rows(noisy_trilocal_config(outer, inner))
+        assert validated == [(3, 4, 4)] * validations
+
+    @ORDERS
+    def test_every_point_evaluates_as_a_fresh_network(self, outer, inner, validations) -> None:
+        cfg = noisy_trilocal_config(outer, inner)
+        axes = scan_axes(cfg)
+        paths = [axis.path for axis in axes]
+        build = network_factory(cfg, paths)
+        for values in itertools.product(*[axis.values.tolist() for axis in axes]):
+            assert hex_words(build(values)) == hex_words(fresh_network(cfg, paths, values)), values
+
+    def test_a_signed_zero_on_a_state_path_rebuilds(self, validated) -> None:
+        cfg = noisy_trilocal_config("channels.0.param", "filters.middle.0.1")
+        build = network_factory(cfg, ["channels.0.param", "filters.middle.0.1"])
+        first = build((0.0, 0.5))
+        second = build((-0.0, 0.5))
+        assert len(validated) == 2 and second.links is not first.links
+        assert build((-0.0, 0.7)).links is second.links
+        assert len(validated) == 2
+
+    def test_a_build_that_raised_is_not_reused(self, validated) -> None:
+        cfg = noisy_trilocal_config("channels.0.param", "filters.middle.0.1")
+        paths = ["channels.0.param", "filters.middle.0.1"]
+        build = network_factory(cfg, paths)
+        first = build((0.1, 0.5))
+        with pytest.raises(ConfigError, match=r"^filters: middle\[0\]\[1\]"):
+            build((0.2, 1.5))  # the states build, then the filters fail
+        assert len(validated) == 1
+        spec = build((0.2, 0.5))
+        assert len(validated) == 2 and spec.links is not first.links
+        assert hex_words(spec) == hex_words(fresh_network(cfg, paths, (0.2, 0.5)))
 
 
 class TestBuildSettings:

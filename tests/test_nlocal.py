@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -242,6 +243,48 @@ class TestFilteredOnce:
             b_seq(spec)
         with pytest.raises(ValueError, match="^decomposition coefficient has imaginary part 1.000e-09$"):
             evaluate(spec)
+
+
+class TestDerivedSpec:
+    """A spec derived for other filters shares the validated links and, once computed, their unfiltered bound."""
+
+    LINKS = (SINGLET, werner_state(0.8), grud_state(0.1, 0.3))
+    OTHER = NetworkFilterSpec(eps_first=0.9, eps_last=0.7, middle=((0.5, 0.6), (0.8, 1.0)))
+
+    def test_shares_the_links_and_the_unfiltered_bound(self, monkeypatch) -> None:
+        spec = NetworkSpec(links=self.LINKS)
+        before = spec._with_filters(self.OTHER)
+        evaluate(spec)
+        calls = []
+        monkeypatch.setattr("qnetfilter.nlocal.validate_density", lambda rho: calls.append(rho) or rho)
+        derived = spec._with_filters(self.OTHER)
+        assert derived.links is spec.links and derived.filters is self.OTHER
+        assert "_unfiltered" not in before.__dict__  # derived before the bound was computed
+        assert derived.__dict__.keys() == {"links", "filters", "_unfiltered"}
+        assert calls == []
+
+    def test_evaluates_as_a_spec_built_from_its_links(self) -> None:
+        spec = NetworkSpec(links=self.LINKS)
+        evaluate(spec)
+        fresh = evaluate(NetworkSpec(links=self.LINKS, filters=self.OTHER))
+        for derived in (spec._with_filters(self.OTHER), NetworkSpec(links=self.LINKS)._with_filters(self.OTHER)):
+            result = evaluate(derived)
+            assert [float(v).hex() for v in dataclasses.astuple(result)] == [
+                float(v).hex() for v in dataclasses.astuple(fresh)
+            ]
+
+    def test_checks_the_filter_shape(self) -> None:
+        with pytest.raises(ValueError, match="^expected 2 intermediate filter pairs for 3 links, got 1$"):
+            NetworkSpec(links=self.LINKS)._with_filters(CUT_MIDDLE)
+
+    def test_a_decomposition_error_is_raised_on_every_use(self) -> None:
+        skewed = np.eye(4, dtype=complex) / 4.0
+        skewed[0, 1] = skewed[1, 0] = 5e-10j
+        spec = NetworkSpec(links=(skewed, SINGLET))
+        for target in (spec, spec._with_filters(CUT_MIDDLE), spec):
+            with pytest.raises(ValueError, match="^decomposition coefficient has imaginary part 1.000e-09$"):
+                evaluate(target)
+        assert "_unfiltered" not in spec.__dict__
 
 
 class TestBLin:
@@ -732,8 +775,11 @@ class TestSolversMatchScipy:
             (lambda x: float("nan") if x == 0.0 else x - 0.3, 0.0, 1.0, 2e-12, ValueError, "NaN"),
             (lambda x: float("nan") if 0.4 < x < 0.6 else x - 0.7, 0.0, 1.0, 1e-4, ValueError, "NaN"),
             (lambda x: x - 1e-300, -1.0, 1.0, 1e-320, RuntimeError, "(?i)failed to converge after 100"),
+            # Never evaluated: a call would raise ZeroDivisionError, not ValueError.
+            (lambda x: 1.0 / 0.0, 0.0, 1.0, 0.0, ValueError, r"^xtol too small \(0 <= 0\)$"),
+            (lambda x: 1.0 / 0.0, 0.0, 1.0, -1e-4, ValueError, r"^xtol too small \(-0\.0001 <= 0\)$"),
         ],
-        ids=["same-sign", "nan-at-an-endpoint", "nan-at-a-midpoint", "no-convergence"],
+        ids=["same-sign", "nan-at-an-endpoint", "nan-at-a-midpoint", "no-convergence", "xtol-zero", "xtol-negative"],
     )
     def test_bisect_raises_as_scipy(self, f, a, b, xtol, error, message) -> None:
         for solver in (bisect, scipy_bisect):
