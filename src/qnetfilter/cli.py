@@ -45,7 +45,6 @@ from .filtering import FilterAnnihilatesState, NetworkFilterSpec
 from .nlocal import (
     MeasurementSettings,
     NetworkSpec,
-    b_lin,
     b_seq,
     born_oracle,
     conjecture_search,
@@ -136,7 +135,8 @@ def _threshold(cfg: dict, axis: ScanAxis, target: str) -> float:
 
     def objective(value: float) -> float:
         spec = build((float(value),))
-        bound = b_lin(spec.links) if target == "b_lin" else b_seq(spec)[0]
+        # The spec validated its links, and a filter axis's specs share the bound they carry.
+        bound = spec._unfiltered if target == "b_lin" else b_seq(spec)[0]
         return bound - 1.0
 
     lo, hi = axis.low, axis.high
@@ -197,7 +197,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             return 1.0  # score -1.0: annihilating assignments never win
 
     rng = np.random.default_rng(seed)
-    starts = [np.array(start)] + [rng.uniform(0.0, 1.0, size=len(free)) for _ in range(16)]
+    starts = [np.array(start), *rng.uniform(0.0, 1.0, size=(16, len(free)))]
     # With no free value there is nothing to search: the config as given is the result.
     best_x = nelder_mead(negative_b_seq, starts, [(0.0, 1.0)] * len(free))[1] if free else start
     argmax = dict(zip(free, (float(v) for v in best_x)))

@@ -312,7 +312,7 @@ def maximize_lhs(
     warm = np.array([alpha, -alpha, alpha, -alpha])
 
     rng = np.random.default_rng(seed)
-    starts = [warm] + [rng.uniform(-np.pi, np.pi, size=4) for _ in range(restarts)]
+    starts = [warm, *rng.uniform(-np.pi, np.pi, size=(restarts, 4))]
 
     lowest, best_angles = nelder_mead(negative_lhs, starts, None)
     m0, m1, n0, n1 = [(math.sin(a), 0.0, math.cos(a)) for a in best_angles]
@@ -465,7 +465,9 @@ def _random_bell_diagonal(rng: np.random.Generator) -> list[float]:
     # Rejection sampling inside the tetrahedron of physical diagonal
     # correlation tensors (the four Bell-basis eigenvalues must be >= 0).
     while True:
-        w1, w2, w3 = rng.uniform(-1.0, 1.0, size=3).tolist()
+        # uniform(-1.0, 1.0)'s own arithmetic on the same doubles, at a third of its call cost.
+        u1, u2, u3 = rng.random(3).tolist()
+        w1, w2, w3 = -1.0 + 2.0 * u1, -1.0 + 2.0 * u2, -1.0 + 2.0 * u3
         if min(1.0 + w1 - w2 + w3, 1.0 - w1 + w2 + w3, 1.0 + w1 + w2 - w3, 1.0 - w1 - w2 - w3) >= 0.0:
             return [w1, w2, w3]
 
@@ -509,6 +511,12 @@ def _draw_trials(rng: np.random.Generator, count: int) -> _Draws:
     strengths, then two quaternions for each link that its own filter leaves, link by
     link; a link that annihilates ends the trial.  Which draws happen depends only on
     these scalar tests, so no matrix is built here except near the annihilation threshold.
+
+    The numbers and stream positions are those of a per-trial loop of ``uniform`` and
+    ``normal(size=4)`` calls, read through cheaper calls: the uniform draws are
+    ``rng.random`` doubles mapped as ``uniform`` maps them, ``low + (high - low) * u``,
+    and a trial's quaternions come from one ``normal`` call after both links' annihilation
+    tests, which draw nothing.
     """
     trials: list[tuple] = []
     link_w: list[list[float]] = []
@@ -522,15 +530,18 @@ def _draw_trials(rng: np.random.Generator, count: int) -> _Draws:
         if blin > 1.0:
             rejected += 1
             continue
+        strengths = rng.random(4).tolist()  # uniform(size=(2, 2)) on [0, 1), row by row
+        eps_pair = (strengths[:2], strengths[2:])
+        passed = 0
+        while passed < 2 and not _link_annihilates(w_pair[passed], *eps_pair[passed]):
+            passed += 1
         start = len(link_w)
-        quats = []
-        for w, eps in zip(w_pair, rng.uniform(size=(2, 2)).tolist()):
-            if _link_annihilates(w, *eps):
-                break
-            link_w.append(w)
-            link_eps.append(eps)
-            quats += [rng.normal(size=4), rng.normal(size=4)]
-        if len(quats) == 4:
+        link_w += w_pair[:passed]
+        link_eps += eps_pair[:passed]
+        # The per-trial loop's two normal(size=4) draws per passed link, in one call (none
+        # when the first link annihilates); a first link that passed spends its draws.
+        quats = rng.normal(size=(2 * passed, 4))
+        if passed == 2:
             trials.append((start, quats, blin))
         else:
             annihilated += 1

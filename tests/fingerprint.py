@@ -11,7 +11,11 @@ every ``ValueError``, that these calls give:
   decomposition has an imaginary part (the raw chain's error comes first);
 - ``lhs_at_settings``, ``born_oracle`` and ``maximize_lhs(restarts=2)`` on 48
   chains of 2 to 4 links;
-- ``conjecture_search(300)`` for seeds 0, 1 and 2;
+- ``conjecture_search(300)`` for seeds 0, 1 and 2, at the default
+  annihilation threshold, where no trial annihilates, and with
+  ``filtering.ANNIHILATION_ATOL`` raised to 0.15, where some trials lose their
+  second link after the first link's quaternions were drawn, and some lose
+  both links to the chain filter;
 - the networks that ``config.network_factory`` builds: the rows of a seeded 7x7
   scan over a noise channel and a filter strength (``cli._scan_rows``), the
   ``b_seq`` and ``b_lin`` thresholds along a filter axis (``cli._threshold``),
@@ -42,7 +46,7 @@ from qnetfilter import (
     lhs_at_settings,
     maximize_lhs,
 )
-from qnetfilter import cli
+from qnetfilter import cli, filtering
 from qnetfilter.config import network_factory, scan_axes
 
 PRODUCT_00 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -167,6 +171,13 @@ def fingerprint() -> tuple[str, int, int]:
         outcomes.append(_record(digest, maximize_lhs, spec, seed=seed, restarts=2))
     for seed in range(3):
         outcomes.append(_record(digest, conjecture_search, 300, seed=seed))
+    default_atol = filtering.ANNIHILATION_ATOL
+    filtering.ANNIHILATION_ATOL = 0.15
+    try:
+        for seed in range(3):
+            outcomes.append(_record(digest, conjecture_search, 300, seed=seed))
+    finally:
+        filtering.ANNIHILATION_ATOL = default_atol
     outcomes.append(_record(digest, cli._scan_rows, _scan_config(rng)))
     (axis,) = scan_axes(THRESHOLD_CONFIG)
     for target in ("b_seq", "b_lin"):

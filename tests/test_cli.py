@@ -29,8 +29,10 @@ from qnetfilter import (
     grud_state,
     matrix_to_pairs,
     pure_theta_state,
+    validate_density,
 )
-from qnetfilter.cli import _run_region, main
+from qnetfilter import nlocal
+from qnetfilter.cli import _REPRODUCTIONS, NoCrossing, _run_region, _threshold, main
 from qnetfilter.config import config_with_values, scan_axes
 
 
@@ -781,6 +783,65 @@ def test_threshold_at_an_exact_root_endpoint_prints_that_endpoint(tmp_path, caps
     payload = json.loads(out)
     assert payload["range"] == list(bounds)
     assert payload["threshold"] == bounds[endpoint]
+
+
+# The reproduce ids' thresholds as float.hex, recorded while the b_lin target still validated each
+# network's links a second time through the public b_lin.
+REPRODUCED_THRESHOLDS = {
+    ("bitflip-threshold", "b_lin"): "0x1.1280000000001p-2",
+    ("bitflip-threshold", "b_seq"): "0x1.2a1999999999ap-2",
+    ("damping-threshold", "b_lin"): "0x1.9fe999999999bp-3",
+    ("damping-threshold", "b_seq"): "0x1.2b0d99999999ap-1",
+}
+
+
+@pytest.mark.parametrize("rid, target", list(REPRODUCED_THRESHOLDS))
+def test_reproduced_thresholds_are_bit_identical(rid, target):
+    config = _REPRODUCTIONS[rid][1]["config"]
+    (axis,) = scan_axes(config)
+    assert _threshold(config, axis, target).hex() == REPRODUCED_THRESHOLDS[rid, target]
+
+
+def test_a_b_lin_threshold_validates_each_network_once(monkeypatch):
+    # The bound is read off the spec, whose links were validated when it was built.
+    validated = []
+    built = []
+
+    def counted(rho):
+        validated.append(np.shape(rho))
+        return validate_density(rho)
+
+    def recorded(cfg, values):
+        built.append(values)
+        return config_with_values(cfg, values)
+
+    monkeypatch.setattr("qnetfilter.core.validate_density", counted)
+    monkeypatch.setattr("qnetfilter.nlocal.validate_density", counted)
+    monkeypatch.setattr("qnetfilter.config.config_with_values", recorded)
+    config = _REPRODUCTIONS["bitflip-threshold"][1]["config"]
+    (axis,) = scan_axes(config)
+    _threshold(config, axis, "b_lin")
+    assert len(built) == 14
+    assert validated == [(2, 4, 4)] * 14
+
+
+def test_a_b_lin_threshold_along_a_filter_axis_bounds_the_chain_once(monkeypatch):
+    # Every point shares the chain, and the derived specs carry its bound.
+    bounded = []
+    bound = nlocal._bound
+
+    def counted(svs):
+        bounded.append(np.shape(svs))
+        return bound(svs)
+
+    cfg = _bitflip_threshold_config()
+    cfg["filters"] = {"middle": [[0.98, 0.79]]}
+    cfg["scan"]["axes"][0] = {"path": "filters.middle.0.1", "min": 0.05, "max": 1.0, "steps": 2}
+    (axis,) = scan_axes(cfg)
+    monkeypatch.setattr(nlocal, "_bound", counted)
+    with pytest.raises(NoCrossing):
+        _threshold(cfg, axis, "b_lin")
+    assert len(bounded) == 1
 
 
 def test_annihilating_filter_exits_with_code_3(tmp_path, capsys):

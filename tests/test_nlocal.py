@@ -998,6 +998,57 @@ def reference_conjecture_search(trials: int, seed: int = 0, stages: list | None 
     )
 
 
+# conjecture_search draws the reference loop's numbers through cheaper generator calls.  These are
+# the numpy identities it relies on, each compared bit for bit on fresh generators; a numpy release
+# that breaks one fails the test that names it.
+IDENTITY_SEEDS = range(8)
+
+
+def _hex(values) -> list[str]:
+    return [float(value).hex() for value in np.ravel(values)]
+
+
+def _same_stream(seed: int, reference, cheap) -> None:
+    """``reference`` and ``cheap`` give the same floats and leave their generators at the same position."""
+    reference_rng, cheap_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _hex(reference(reference_rng)) == _hex(cheap(cheap_rng))
+    assert reference_rng.bit_generator.state == cheap_rng.bit_generator.state
+
+
+class TestNumpyIdentities:
+    @pytest.mark.parametrize("seed", IDENTITY_SEEDS)
+    def test_uniform_on_minus_one_to_one_is_random_mapped(self, seed) -> None:
+        _same_stream(
+            seed,
+            lambda rng: [rng.uniform(-1.0, 1.0, size=3) for _ in range(50)],
+            lambda rng: [[-1.0 + 2.0 * u for u in rng.random(3).tolist()] for _ in range(50)],
+        )
+
+    @pytest.mark.parametrize("seed", IDENTITY_SEEDS)
+    def test_uniform_block_on_zero_to_one_is_random(self, seed) -> None:
+        _same_stream(
+            seed,
+            lambda rng: [rng.uniform(size=(2, 2)) for _ in range(50)],
+            lambda rng: [rng.random(4) for _ in range(50)],
+        )
+
+    @pytest.mark.parametrize("seed", IDENTITY_SEEDS)
+    def test_four_normal_calls_are_one_block(self, seed) -> None:
+        _same_stream(
+            seed,
+            lambda rng: [[rng.normal(size=4) for _ in range(4)] for _ in range(50)],
+            lambda rng: [rng.normal(size=(4, 4)) for _ in range(50)],
+        )
+
+    @pytest.mark.parametrize("seed", IDENTITY_SEEDS)
+    def test_an_empty_normal_block_draws_nothing(self, seed) -> None:
+        _same_stream(
+            seed,
+            lambda rng: rng.normal(size=3),
+            lambda rng: [*rng.normal(size=(0, 4)).ravel(), *rng.normal(size=3)],
+        )
+
+
 class TestConjectureSearch:
     def test_smoke_run(self) -> None:
         report = conjecture_search(25, seed=3)
