@@ -10,7 +10,7 @@ After a step that replaces only the worst vertex, the new one is inserted
 among the others instead of the simplex being re-sorted.  When their values
 and the new one are distinct and not NaN, there is only one sorted order, so
 the insertion gives the order ``np.argsort`` gives; otherwise the simplex is
-sorted as scipy sorts it.
+re-sorted with ``np.argsort``, as scipy sorts it.
 """
 
 from __future__ import annotations
@@ -70,14 +70,16 @@ def _clip(value: float, low: float, high: float) -> float:
     return value if value < high else high
 
 
-def _order(values: list[float]) -> list[int]:
-    """The indices that sort ``values`` as ``np.argsort`` does."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranked = [values[i] for i in order]
-    if all(map(operator.lt, ranked, ranked[1:])):
-        return order
-    # A tie or a NaN: np.argsort's quicksort is not stable, so only it gives its own order.
-    return np.argsort(values).tolist()
+def _sort(sim: list[list[float]], fsim: list[float]) -> bool:
+    """Reorder ``sim`` and ``fsim`` in place by ``np.argsort(fsim)``, as scipy sorts its simplex.
+
+    np.argsort's quicksort is not stable, so only it gives scipy's order of ties and NaNs.
+    Returns whether the values of all but the worst vertex strictly increase.
+    """
+    order = np.argsort(fsim).tolist()
+    sim[:] = [sim[i] for i in order]
+    fsim[:] = [fsim[i] for i in order]
+    return all(map(operator.lt, fsim[:-2], fsim[1:-1]))
 
 
 def minimize(objective, x0, bounds=None) -> MinimizeResult:
@@ -127,10 +129,7 @@ def minimize(objective, x0, bounds=None) -> MinimizeResult:
     except _TooManyEvaluations:
         pass
     for _ in range(2):  # scipy sorts the first simplex twice, which can reorder ties
-        order = _order(fsim)
-        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-    # Whether the values of all but the worst vertex strictly increase.
-    kept_increasing = all(map(operator.lt, fsim[:-2], fsim[1:-1]))
+        kept_increasing = _sort(sim, fsim)
 
     iterations = 1
     while nfev < MAXFEV and iterations < MAXITER:
@@ -190,9 +189,7 @@ def minimize(objective, x0, bounds=None) -> MinimizeResult:
             sim.insert(k, sim.pop())
             fsim.insert(k, fsim.pop())
         else:
-            order = _order(fsim)
-            sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-            kept_increasing = all(map(operator.lt, fsim[:-2], fsim[1:-1]))
+            kept_increasing = _sort(sim, fsim)
 
     return MinimizeResult(
         x=sim[0], fun=np.min(fsim), nfev=nfev, success=nfev < MAXFEV and iterations < MAXITER

@@ -8,8 +8,10 @@ import itertools
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1110,6 +1112,32 @@ def test_reproduce_identity_filter_reduction(capsys):
     code, out, _ = _run(capsys, "reproduce", "theorem1")
     assert code == 0
     assert "result: PASS" in out
+
+
+def test_theorem1_draws_a_new_chain_for_an_annihilated_one(monkeypatch, capsys):
+    calls = []
+
+    def annihilate_the_first(spec):
+        calls.append(spec)
+        if len(calls) == 1:
+            raise FilterAnnihilatesState("link 1: no success branch")
+        return b_seq(spec)
+
+    monkeypatch.setattr("qnetfilter.cli.b_seq", annihilate_the_first)
+    run, _ = _REPRODUCTIONS["theorem1"]
+    assert run(seed=0, specs=5)
+    # The annihilated chain is not counted: five more are drawn and bounded after it.
+    assert len(calls) == 6
+    assert capsys.readouterr().out.startswith("seed 0, 5 random chains with a product link, max b_seq ")
+
+
+def test_module_entry_point_exits_with_mains_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["qnetfilter", "reproduce", "no-such-id"])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exited:
+        warnings.simplefilter("ignore", RuntimeWarning)  # runpy: qnetfilter.cli is imported already
+        runpy.run_module("qnetfilter.cli", run_name="__main__")
+    assert exited.value.code == 2
+    assert "unknown reproduction id 'no-such-id'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

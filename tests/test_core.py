@@ -326,11 +326,17 @@ class TestRotationToUnitary:
             rotation_to_unitary(np.eye(3) * 1.5)
 
     @pytest.mark.parametrize(
-        "matrix", [np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0])], ids=["nan", "inf"]
+        "matrix, message",
+        [
+            (np.full((3, 3), np.nan), "not a proper rotation"),
+            (np.diag([np.inf, 1.0, 1.0]), "not a proper rotation"),
+            (np.eye(2), r"expected a 3x3 matrix, got shape \(2, 2\)"),
+        ],
+        ids=["nan", "inf", "not-3x3"],
     )
-    def test_rejects_non_finite(self, matrix) -> None:
-        # NaN would pass both the orthogonality and the determinant comparison.
-        with pytest.raises(ValueError, match="not a proper rotation"):
+    def test_rejects_non_finite(self, matrix, message) -> None:
+        # NaN would pass both the orthogonality and the determinant comparison; the shape is checked first.
+        with pytest.raises(ValueError, match=message):
             rotation_to_unitary(matrix)
 
 

@@ -42,7 +42,7 @@ from qnetfilter import (
     werner_state,
     x_state,
 )
-from qnetfilter import filtering, nlocal
+from qnetfilter import filtering, nlocal, solvers
 from qnetfilter.config import network_factory
 from qnetfilter.core import _bloch_form, _quaternion_unitary
 from qnetfilter.solvers import MAXFEV, minimize
@@ -619,11 +619,12 @@ def _bits(values) -> list[str]:
     return [float(v).hex() for v in np.ravel(values)]
 
 
-def assert_minimize_matches_scipy(objective, x0, bounds=None):
+def assert_minimize_matches_scipy(objective, x0, bounds=None, maxfev=MAXFEV):
     ours = minimize(objective, x0, bounds)
     with np.errstate(all="ignore"):  # a diverging simplex overflows inside scipy's array arithmetic
         theirs = scipy_minimize(
-            objective, np.array(x0, dtype=float), method="Nelder-Mead", bounds=bounds, options=SCIPY_NELDER_MEAD
+            objective, np.array(x0, dtype=float), method="Nelder-Mead", bounds=bounds,
+            options=dict(SCIPY_NELDER_MEAD, maxfev=maxfev),
         )
     assert (_bits(ours.x), _bits(ours.fun), ours.nfev, ours.success) == (
         _bits(theirs.x), _bits(theirs.fun), theirs.nfev, theirs.success
@@ -785,6 +786,27 @@ class TestSolversMatchScipy:
         for solver in (bisect, scipy_bisect):
             with pytest.raises(error, match=message):
                 solver(f, a, b, xtol=xtol)
+
+
+class TestSolverEdgesMatchScipy:
+    """Inputs the search never gives: a NaN start, and an evaluation cap below the first simplex's n + 1."""
+
+    @pytest.mark.parametrize(
+        "objective",
+        [lambda x: (x[0] - 0.3) ** 2 + (x[1] + 0.1) ** 2, lambda x: (x[1] + 0.1) ** 2],
+        ids=["reads-the-nan", "ignores-the-nan"],
+    )
+    def test_nan_start_under_bounds_matches(self, objective) -> None:
+        # Clipping keeps a NaN start coordinate NaN, as np.clip does, and it spreads to every vertex.
+        result = assert_minimize_matches_scipy(objective, [math.nan, 0.5], [(0.0, 1.0), (-1.0, 1.0)])
+        assert (result.success, result.nfev, math.isnan(result.x[0])) == (False, MAXFEV, True)
+
+    @pytest.mark.parametrize("maxfev", [0, 1, 2])
+    def test_maxfev_reached_in_the_first_simplex_matches(self, monkeypatch, maxfev) -> None:
+        # The cap stops the first simplex's evaluations; the vertices not evaluated keep the value inf.
+        monkeypatch.setattr(solvers, "MAXFEV", maxfev)
+        result = assert_minimize_matches_scipy(_box_objective, [0.5, 0.5], maxfev=maxfev)
+        assert (result.success, result.nfev) == (False, maxfev)
 
 
 # The dense Born-rule enumeration that the link-by-link contraction replaced:

@@ -1,0 +1,172 @@
+"""``b_seq`` and the success against an X-state closed form that shares no arithmetic with the package.
+
+The grud, werner, x and pure_theta links are X-states: in the basis |00>, |01>,
+|10>, |11> only the diagonal and the coherences rho_03 and rho_12 can be
+non-zero, and all of them are real.  Bit flip and amplitude damping on either
+qubit keep that shape, and so does the filter diag(eps, 1) on each qubit.  For
+strengths (eL, eR), with d = (eL eR, eL, eR, 1), p_i = rho_ii d_i^2 and
+N = sum p_i (the link's success), the filtered link's correlation tensor has the
+singular values
+
+    2 eL eR (|rho_03| + |rho_12|) / N,  2 eL eR ||rho_03| - |rho_12|| / N,  |p0 - p1 - p2 + p3| / N.
+
+The oracle reads the families' and the channels' parameters off a config and
+works on plain floats with ``math``: no matrix, SVD or eigensolver, and no code
+of the package.  Unlike ``conjecture_search``'s Bell-diagonal closed form, it
+reaches the noise channels and links whose local Bloch vectors are not null.
+On X-states see Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007).
+"""
+
+from __future__ import annotations
+
+import copy
+import math
+
+import numpy as np
+
+from qnetfilter import b_seq, build_network
+from qnetfilter.config import network_factory
+
+ATOL = 1e-12
+CHAINS = 1200
+FAMILIES = ("grud", "werner", "x", "pure_theta")
+
+
+def _family(entry: dict) -> tuple[list[float], float, float]:
+    """The diagonal, rho_03 and rho_12 of a link family."""
+    family = entry["family"]
+    if family == "grud":  # v|00><00| + (1 - v)|phi><phi|, |phi> = sin x|01> + cos x|10>
+        v, s, c = entry["v"], math.sin(entry["x"]), math.cos(entry["x"])
+        return [v, (1 - v) * s * s, (1 - v) * c * c, 0.0], 0.0, (1 - v) * s * c
+    if family == "werner":  # (1 - p) I/4 + p|psi-><psi-|
+        p = entry["p"]
+        return [(1 - p) / 4, (1 - p) / 4 + p / 2, (1 - p) / 4 + p / 2, (1 - p) / 4], 0.0, -p / 2
+    if family == "x":  # x1|00><00| + x2|01><01| + x3|11><11| + x4(|00><11| + h.c.)
+        return [entry["x1"], entry["x2"], 0.0, entry["x3"]], entry["x4"], 0.0
+    # pure_theta: cos(theta)|01> + sin(theta)|10>
+    c, s = math.cos(entry["theta"]), math.sin(entry["theta"])
+    return [0.0, c * c, s * s, 0.0], 0.0, c * s
+
+
+def _bit_flip(link, p: float, bit: int):
+    # Flipping the qubit of ``bit`` (2 left, 1 right) swaps basis states i and i ^ bit, and rho_03 with rho_12.
+    diag, c03, c12 = link
+    return [(1 - p) * diag[i] + p * diag[i ^ bit] for i in range(4)], (1 - p) * c03 + p * c12, (1 - p) * c12 + p * c03
+
+
+def _damping(link, gamma: float, bit: int):
+    # |1> decays to |0> on the qubit of ``bit``: state i | bit hands gamma of its weight to i.
+    diag, c03, c12 = link
+    decayed = [(1 - gamma) * diag[i] if i & bit else diag[i] + gamma * diag[i | bit] for i in range(4)]
+    keep = math.sqrt(1 - gamma)
+    return decayed, keep * c03, keep * c12
+
+
+def xstate_b_seq(cfg: dict) -> tuple[float, float]:
+    """``b_seq`` and the success of an X-state chain config, from the closed form."""
+    links = [_family(entry) for entry in cfg["links"]]
+    for channel in cfg.get("channels", []):
+        apply = _bit_flip if channel["type"] == "bit_flip" else _damping
+        sides = channel.get("sides", "both")
+        for side, bit in (("left", 2), ("right", 1)):
+            if sides in (side, "both"):
+                links[channel["link"] - 1] = apply(links[channel["link"] - 1], channel["param"], bit)
+    filters = cfg.get("filters", {})
+    middle = filters.get("middle", [[1.0, 1.0]] * (len(links) - 1))
+    strengths = [filters.get("first", 1.0), *(eps for pair in middle for eps in pair), filters.get("last", 1.0)]
+    first = second = success = 1.0
+    for k, (diag, c03, c12) in enumerate(links):
+        e_left, e_right = strengths[2 * k], strengths[2 * k + 1]
+        p = [rho * d * d for rho, d in zip(diag, (e_left * e_right, e_left, e_right, 1.0))]
+        norm = sum(p)
+        coherence = 2 * e_left * e_right
+        t1, t2, _ = sorted(
+            (
+                coherence * (abs(c03) + abs(c12)) / norm,
+                coherence * abs(abs(c03) - abs(c12)) / norm,
+                abs(p[0] - p[1] - p[2] + p[3]) / norm,
+            ),
+            reverse=True,
+        )
+        first *= t1
+        second *= t2
+        success *= norm
+    return math.sqrt(first + second), success
+
+
+def _random_link(rng: np.random.Generator) -> dict:
+    family = FAMILIES[rng.integers(len(FAMILIES))]
+    if family == "grud":
+        return {"family": "grud", "v": float(rng.uniform()), "x": float(rng.uniform(0.0, math.pi / 4))}
+    if family == "werner":
+        return {"family": "werner", "p": float(rng.uniform())}
+    if family == "x":
+        x1 = float(rng.uniform())
+        x2 = float(rng.uniform()) * (1 - x1)
+        x3 = (1 - x1) - x2
+        return {"family": "x", "x1": x1, "x2": x2, "x3": x3, "x4": float(rng.uniform(-1.0, 1.0)) * math.sqrt(x1 * x3)}
+    return {"family": "pure_theta", "theta": float(rng.uniform(0.01, math.pi / 4))}
+
+
+def _random_config(rng: np.random.Generator) -> dict:
+    n = int(rng.integers(2, 5))
+    channels = [
+        {
+            "link": int(rng.integers(1, n + 1)),
+            "type": ("bit_flip", "amplitude_damping")[rng.integers(2)],
+            "param": float(rng.uniform()),
+            "sides": ("left", "right", "both")[rng.integers(3)],
+        }
+        for _ in range(rng.integers(0, 4))
+    ]
+    return {
+        "links": [_random_link(rng) for _ in range(n)],
+        "channels": channels,
+        "filters": {
+            "first": float(rng.uniform(0.05, 1.0)),
+            "last": float(rng.uniform(0.05, 1.0)),
+            "middle": [[float(rng.uniform(0.05, 1.0)) for _ in range(2)] for _ in range(n - 1)],
+        },
+    }
+
+
+def test_random_chains_match_the_closed_form() -> None:
+    rng = np.random.default_rng(20070459)
+    bounds = []
+    for index in range(CHAINS):
+        cfg = _random_config(rng)
+        bound, success = b_seq(build_network(cfg))
+        expected_bound, expected_success = xstate_b_seq(cfg)
+        assert abs(bound - expected_bound) <= ATOL, (index, cfg)
+        assert abs(success - expected_success) <= ATOL, (index, cfg)
+        bounds.append(bound)
+    # The corpus holds chains on both sides of the n-local bound.
+    assert min(bounds) < 1.0 < max(bounds)
+
+
+def test_a_scan_grid_matches_the_closed_form() -> None:
+    # Shaped like the benchmark's scan: three grud links, bit flip on link 2, a 7x7 grid over its
+    # strength and one middle filter strength.
+    rng = np.random.default_rng(7)
+    cfg = {
+        "links": [
+            {"family": "grud", "v": float(rng.uniform(0.0, 0.3)), "x": float(rng.uniform(0.1, 0.78))}
+            for _ in range(3)
+        ],
+        "channels": [{"link": 2, "type": "bit_flip", "param": 0.0, "sides": "both"}],
+        "filters": {
+            "first": float(rng.uniform(0.5, 1.0)),
+            "last": float(rng.uniform(0.5, 1.0)),
+            "middle": [[float(rng.uniform(0.3, 1.0)) for _ in range(2)] for _ in range(2)],
+        },
+    }
+    build = network_factory(cfg, ["channels.0.param", "filters.middle.1.0"])
+    for noise in np.linspace(0.0, float(rng.uniform(0.1, 0.5)), 7).tolist():
+        for strength in np.linspace(float(rng.uniform(0.2, 0.5)), 1.0, 7).tolist():
+            point = copy.deepcopy(cfg)
+            point["channels"][0]["param"] = noise
+            point["filters"]["middle"][1][0] = strength
+            bound, success = b_seq(build((noise, strength)))
+            expected_bound, expected_success = xstate_b_seq(point)
+            assert abs(bound - expected_bound) <= ATOL, (noise, strength)
+            assert abs(success - expected_success) <= ATOL, (noise, strength)
