@@ -45,6 +45,8 @@ from .filtering import FilterAnnihilatesState, NetworkFilterSpec
 from .nlocal import (
     MeasurementSettings,
     NetworkSpec,
+    _STACK_SIZE,
+    _bound_chains,
     b_seq,
     born_oracle,
     conjecture_search,
@@ -89,11 +91,29 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _grid(cfg: dict, axes: list[ScanAxis]) -> Iterator[tuple[tuple[float, ...], NetworkSpec]]:
-    """Yield each point of the axes' grid in row-major order, with the network built at it."""
+    """Yield each point of the axes' grid in row-major order, with the network built at it.
+
+    The networks of a chunk of points are built one by one and then filtered and bounded as one
+    stack (``_bound_chains``), so each ``evaluate`` reads its spec's results.  A point that fails to
+    build ends its chunk: its error is raised only once the caller has taken every earlier point,
+    so an earlier point's own error, read when the caller evaluates it, comes first.
+    """
     build = network_factory(cfg, [axis.path for axis in axes])
-    for point in itertools.product(*[axis.values for axis in axes]):
-        values = tuple(float(v) for v in point)
-        yield values, build(values)
+    points = itertools.product(*[axis.values for axis in axes])
+    while chunk := list(itertools.islice(points, _STACK_SIZE)):
+        built = []
+        error = None
+        for point in chunk:
+            values = tuple(float(v) for v in point)
+            try:
+                built.append((values, build(values)))
+            except ValueError as exc:
+                error = exc
+                break
+        _bound_chains([spec for _, spec in built])
+        yield from built
+        if error is not None:
+            raise error
 
 
 def _scan_rows(cfg: dict) -> tuple[list[str], list[list[str]]]:

@@ -14,6 +14,7 @@ intermediate party, and link j is filtered with a left and a right strength.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -80,6 +81,16 @@ class NetworkFilterSpec:
     def identity(cls, n_links: int) -> "NetworkFilterSpec":
         """All-ones assignment for a chain of ``n_links`` links."""
         return cls(middle=((1.0, 1.0),) * (n_links - 1))
+
+    @functools.cached_property
+    def _strengths(self) -> np.ndarray:
+        """The read-only ``(n, 2)`` strengths (left, right) of the links, built once.
+
+        Row j holds entries 2j and 2j+1 of (eps_first, *middle pairs, eps_last).
+        """
+        eps = np.array((self.eps_first, *itertools.chain.from_iterable(self.middle), self.eps_last)).reshape(-1, 2)
+        eps.flags.writeable = False
+        return eps
 
 
 def _check_chain(n_links: int, spec: NetworkFilterSpec | None = None) -> None:
@@ -160,10 +171,8 @@ def filter_network(states: np.ndarray | list[np.ndarray], spec: NetworkFilterSpe
     is filtered by ``_filter_chains``, and the error names the first link (1-based)
     that annihilates or whose filtered state fails validation (``link k: filtered state has``).
     """
-    n_links = len(states)
-    _check_chain(n_links, spec)
-    eps = np.array((spec.eps_first, *itertools.chain.from_iterable(spec.middle), spec.eps_last)).reshape(n_links, 2)
-    filtered, success, alive = _filter_chains(states, eps)
+    _check_chain(len(states), spec)
+    filtered, success, alive = _filter_chains(states, spec._strengths)
     if not alive:
         dead = np.flatnonzero(success <= ANNIHILATION_ATOL)[0]
         _check_success(success[dead], f"link {dead + 1}: ")  # raises

@@ -71,8 +71,9 @@ __all__ = [
 
 UNIT_ATOL = 1e-10
 ORACLE_MAX_LINKS = 6  # the longest chain the Born-rule oracle enumerates
-# Trials per stacked pass of conjecture_search, which bounds the memory of a long search.
-_CONJECTURE_BATCH = 1024
+# Chains per stacked pass: the trials of a conjecture_search batch, the points of a grid chunk.
+# It bounds the memory of a long search or a large grid.
+_STACK_SIZE = 1024
 
 
 class DimensionTooLarge(ValueError):
@@ -85,8 +86,9 @@ class NetworkSpec:
 
     ``links`` takes any sequence of 4x4 density matrices and holds them, validated
     in one pass that names the first bad link, as a read-only ``(n, 4, 4)`` complex array.
-    Building a spec never filters: the chain is filtered once, on first use.  A spec
-    derived for other filters shares the validated links and their unfiltered bound.
+    Building a spec never filters: the chain is filtered once, on first use, or with the
+    other chains of a grid chunk by ``_bound_chains``.  A spec derived for other filters
+    shares the validated links and their unfiltered bound.
     """
 
     links: np.ndarray
@@ -128,6 +130,11 @@ class NetworkSpec:
         filtered, success = filter_network(self.links, self.filters)
         filtered.flags.writeable = False
         return filtered, success
+
+    @functools.cached_property
+    def _filtered_bound(self) -> float:
+        """The filtered chain's bound; a filter or decomposition error raises on every use."""
+        return _bound(_bloch_form(self._filtered[0]).W)
 
 
 def _unit_vector(name: str, vec: np.ndarray) -> np.ndarray:
@@ -192,8 +199,30 @@ def b_lin(links: np.ndarray | tuple[np.ndarray, ...] | list[np.ndarray]) -> floa
 
 def b_seq(spec: NetworkSpec) -> tuple[float, float]:
     """Closed-form bound of the filtered chain and its overall success probability."""
-    filtered, success = spec._filtered
-    return _bound(_bloch_form(filtered).W), success
+    return spec._filtered_bound, spec._filtered[1]
+
+
+def _bound_chains(specs: list[NetworkSpec]) -> None:
+    """Filter and bound the chains of ``specs``, all of one length, as one stack, and keep the results on each spec.
+
+    One ``_bound`` for the raw chains, one ``_filter_chains`` and one ``_bound`` for the chains that
+    survive, with the arithmetic of ``_unfiltered``, ``_filtered`` and ``_filtered_bound`` on one spec,
+    so every float is theirs to the bit.  A spec whose chain annihilates keeps only its raw bound:
+    its own filtering raises the annihilation on use.  When any step raises, no spec keeps anything,
+    and each one computes, and raises, its own results on use, in the order its caller asks for them.
+    """
+    try:
+        links = np.stack([spec.links for spec in specs])
+        raw = _bound(_bloch_form(links).W)
+        filtered, success, alive = _filter_chains(links, np.stack([spec.filters._strengths for spec in specs]))
+        bounds = iter(_bound(_bloch_form(filtered[alive]).W).tolist())
+    except ValueError:
+        return
+    filtered.flags.writeable = False
+    for spec, unfiltered, chain, successes, survives in zip(specs, raw.tolist(), filtered, success.tolist(), alive):
+        spec.__dict__["_unfiltered"] = unfiltered
+        if survives:
+            spec.__dict__.update(_filtered=(chain, math.prod(successes)), _filtered_bound=next(bounds))
 
 
 def evaluate(spec: NetworkSpec) -> EvalResult:
@@ -616,7 +645,7 @@ def conjecture_search(trials: int, seed: int = 0) -> ConjectureReport:
     rejected = 0
     annihilated = 0
     while done < count:
-        draws = _draw_trials(rng, min(count - done, _CONJECTURE_BATCH))
+        draws = _draw_trials(rng, min(count - done, _STACK_SIZE))
         batch_dev, passed, bounds = _bound_trials(draws)
         max_dev = max(max_dev, batch_dev)
         # max over a list compares left to right, in trial order, as one trial at a time would.

@@ -20,7 +20,11 @@ every ``ValueError``, that these calls give:
   scan over a noise channel and a filter strength (``cli._scan_rows``), the
   ``b_seq`` and ``b_lin`` thresholds along a filter axis (``cli._threshold``),
   and ``optimize``'s objective, ``b_seq`` of the network at a filter
-  assignment, at 12 random assignments, one of which annihilates.
+  assignment, at 12 random assignments, one of which annihilates;
+- the region search ``cli._run_region`` over 11 x 10 x 10 points of a bilocal
+  grud chain, which the grid takes in two chunks: whether it finds a witness,
+  what it prints, and every result, or annihilation, of its ``evaluate`` calls.
+  A stripe of 10 points annihilates.
 
 Two commits that print the same hash computed the same bits on this corpus, so
 a change meant to keep every output can be checked by running the script before
@@ -29,8 +33,10 @@ and after it.  Needs only numpy; runs in a few seconds.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 
 import numpy as np
 
@@ -151,6 +157,39 @@ OPTIMIZE_CONFIG = {
     "filters": {"first": 1.0, "last": 1.0, "middle": [[0.8, 0.97]]},
 }
 OPTIMIZE_FREE = ["filters.first", "filters.middle.0.0", "filters.middle.0.1"]
+# reproduce bilocal-grud-allfilter's chain over 11 x 10 x 10 points, the first middle strength from 0:
+# at v1 = 1 the first link is |00>, which that strength annihilates at 0.
+REGION_CONFIG = {
+    "links": [{"family": "grud", "v": 0.0, "x": 0.23}, {"family": "grud", "v": 0.15, "x": 0.34}],
+    "filters": {"first": 0.95, "last": 0.76, "middle": [[1.0, 1.0]]},
+    "scan": {"axes": [
+        {"path": "links.0.v", "min": 0.0, "max": 1.0, "steps": 11},
+        {"path": "filters.middle.0.0", "min": 0.0, "max": 1.0, "steps": 10},
+        {"path": "filters.middle.0.1", "min": 0.1, "max": 1.0, "steps": 10},
+    ]},
+}
+
+
+def region_search(cfg: dict) -> list:
+    """Whether ``cli._run_region`` finds a witness, what it prints, and each of its ``evaluate`` outcomes."""
+    outcomes = []
+
+    def recorded(spec: NetworkSpec):
+        try:
+            outcomes.append(evaluate(spec))
+        except ValueError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+            raise
+        return outcomes[-1]
+
+    out = io.StringIO()
+    cli.evaluate = recorded
+    try:
+        with contextlib.redirect_stdout(out):
+            found = cli._run_region("region", cfg, 0.3)
+    finally:
+        cli.evaluate = evaluate
+    return [found, out.getvalue(), outcomes]
 
 
 def fingerprint() -> tuple[str, int, int]:
@@ -191,6 +230,7 @@ def fingerprint() -> tuple[str, int, int]:
     assignments[5, 2] = 0.0
     for values in assignments.tolist():
         outcomes.append(_record(digest, optimize_objective, values))
+    outcomes.append(_record(digest, region_search, REGION_CONFIG))
     return digest.hexdigest(), len(outcomes), sum(outcomes)
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -34,8 +36,8 @@ from qnetfilter import (
     validate_density,
 )
 from qnetfilter import nlocal
-from qnetfilter.cli import _REPRODUCTIONS, NoCrossing, _run_region, _threshold, main
-from qnetfilter.config import config_with_values, scan_axes
+from qnetfilter.cli import _REPRODUCTIONS, NoCrossing, _grid, _run_region, _scan_rows, _threshold, main
+from qnetfilter.config import build_filter_spec, config_with_values, scan_axes
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -466,18 +468,33 @@ def test_scan_rows_are_row_major(tmp_path, capsys):
     ]
 
 
-def _reference_scan_csv(cfg):
-    """The scan CSV with every grid point built anew."""
+def _fresh_network(cfg, paths, values):
+    """The network at ``values``, built from its own states with no reuse."""
+    point = config_with_values(cfg, dict(zip(paths, values)))
+    states = build_states(point)
+    return NetworkSpec(states, build_filter_spec(point, len(states)))
+
+
+def _row(values, result):
+    numbers = (*values, result.b_lin, result.b_seq, result.success_prob)
+    return [*(f"{v:.12g}" for v in numbers), "1" if result.violation else "0"]
+
+
+def _pointwise_scan(cfg):
+    """The exit code, stdout and stderr of ``scan`` when each point is built anew and evaluated before the next."""
     axes = scan_axes(cfg)
+    paths = [axis.path for axis in axes]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([*(axis.path for axis in axes), "b_lin", "b_seq", "success_prob", "violation"])
-    for point in itertools.product(*[axis.values for axis in axes]):
-        values = [float(v) for v in point]
-        result = evaluate(build_network(config_with_values(cfg, dict(zip((a.path for a in axes), values)))))
-        numbers = (*values, result.b_lin, result.b_seq, result.success_prob)
-        writer.writerow([*(f"{v:.12g}" for v in numbers), "1" if result.violation else "0"])
-    return out.getvalue()
+    writer.writerow([*paths, "b_lin", "b_seq", "success_prob", "violation"])
+    for point in itertools.product(*[axis.values.tolist() for axis in axes]):
+        try:
+            writer.writerow(_row(point, evaluate(_fresh_network(cfg, paths, point))))
+        except FilterAnnihilatesState as exc:
+            return 3, "", f"annihilated post-selection: {exc}\n"
+        except ValueError as exc:
+            return 2, "", f"config error: {exc}\n"
+    return 0, out.getvalue(), ""
 
 
 def _noisy_scan_config(*paths):
@@ -507,7 +524,7 @@ def test_scan_rebuilds_link_states_only_when_an_axis_changes_them(
     tmp_path, capsys, monkeypatch, paths, states_built
 ):
     cfg = _noisy_scan_config(*paths)
-    expected = _reference_scan_csv(cfg)
+    expected = _pointwise_scan(cfg)
     calls = []
 
     def counted(point):
@@ -515,10 +532,121 @@ def test_scan_rebuilds_link_states_only_when_an_axis_changes_them(
         return build_states(point)
 
     monkeypatch.setattr("qnetfilter.config.build_states", counted)
-    code, out, err = _run(capsys, "scan", "--config", _write(tmp_path, cfg))
-    assert (code, err) == (0, "")
-    assert out == expected
+    assert expected[0] == 0
+    assert _run(capsys, "scan", "--config", _write(tmp_path, cfg)) == expected
     assert len(calls) == states_built
+
+
+def _workload_scan_config(paths, steps):
+    """A trilocal grud chain with bit flip on link 2, scanned like the benchmark's scan: the noise and a strength."""
+    rng = np.random.default_rng(11)
+    cfg = {
+        "links": [
+            {"family": "grud", "v": float(rng.uniform(0.0, 0.3)), "x": float(rng.uniform(0.1, 0.78))} for _ in range(3)
+        ],
+        "channels": [{"link": 2, "type": "bit_flip", "param": 0.0, "sides": "both"}],
+        "filters": {
+            "first": float(rng.uniform(0.5, 1.0)),
+            "last": float(rng.uniform(0.5, 1.0)),
+            "middle": rng.uniform(0.3, 1.0, size=(2, 2)).tolist(),
+        },
+    }
+    grids = {"channels.0.param": (0.0, float(rng.uniform(0.1, 0.5))), "filters.middle.1.0": (0.25, 1.0)}
+    cfg["scan"] = {"axes": [{"path": p, "min": grids[p][0], "max": grids[p][1], "steps": steps} for p in paths]}
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "paths, steps",
+    [
+        (("channels.0.param", "filters.middle.1.0"), 7),
+        (("filters.middle.1.0", "channels.0.param"), 7),
+        (("channels.0.param", "filters.middle.1.0"), 33),
+    ],
+    ids=["noise-outer", "noise-inner", "two-chunks"],
+)
+def test_every_grid_point_evaluates_as_a_fresh_network_to_the_bit(paths, steps):
+    cfg = _workload_scan_config(paths, steps)
+    points = list(_grid(cfg, scan_axes(cfg)))
+    _, rows = _scan_rows(cfg)
+    assert len(points) == len(rows) == steps * steps
+    for (values, spec), row in zip(points, rows):
+        assert "_filtered_bound" in spec.__dict__  # bounded with its chunk
+        fresh = evaluate(_fresh_network(cfg, paths, values))
+        assert [float(v).hex() for v in dataclasses.astuple(evaluate(spec))] == [
+            float(v).hex() for v in dataclasses.astuple(fresh)
+        ], values
+        assert row == _row(values, fresh)
+
+
+def test_the_workload_grid_validates_each_state_set_and_the_filtered_stack_once(monkeypatch):
+    validated = []
+
+    def counted(rho):
+        validated.append(np.shape(rho))
+        return validate_density(rho)
+
+    for module in ("core", "states", "config", "filtering", "nlocal"):
+        monkeypatch.setattr(f"qnetfilter.{module}.validate_density", counted)
+    _scan_rows(_workload_scan_config(("channels.0.param", "filters.middle.1.0"), 7))
+    # Per noise value, three grud links and the chain; then the 49 chains' filter outputs as one stack.
+    assert validated == ([(4, 4)] * 3 + [(3, 4, 4)]) * 7 + [(147, 4, 4)]
+
+
+def _failing_scan_config(links, filters, *axes):
+    return {
+        "links": links,
+        "filters": filters,
+        "scan": {"axes": [{"path": p, "min": low, "max": high, "steps": steps} for p, low, high, steps in axes]},
+    }
+
+
+_GRUDS = [{"family": "grud", "v": 0.0, "x": 0.23}, {"family": "grud", "v": 0.15, "x": 0.34}]
+_CUT_FIRST = {"first": 0.0, "last": 1.0, "middle": [[1.0, 1.0]]}
+_UNFILTERED = {"first": 1.0, "last": 1.0, "middle": [[1.0, 1.0]]}
+# Link 1 is filtered by (first, middle 0.0) and link 2 by (middle 0.1, last).  Link 1 is valid to an
+# eigenvalue of -9e-10, which its filtered state, renormalised, takes below -1e-9 for a first strength
+# of 0.9 or less; the |00> link 2 annihilates at a last strength of 0.
+_BARELY_VALID_AND_GROUND = [
+    {"family": "explicit", "matrix": matrix_to_pairs(np.diag([0.5, 0.25, 0.25 + 9e-10, -9e-10]))},
+    {"family": "product", "m": [0, 0, 1], "n": [0, 0, 1]},
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, code",
+    [
+        # At first 0, links.0.v = 1 (|00>) annihilates at point 4; last 1.5 fails to build at point 5.
+        (_failing_scan_config(_GRUDS, _CUT_FIRST, ("filters.last", 1.0, 1.5, 2), ("links.0.v", 0.0, 1.0, 5)), 3),
+        # last 1.5 fails to build at point 2, before v = 1 annihilates at point 12.
+        (_failing_scan_config(_GRUDS, _CUT_FIRST, ("links.0.v", 0.0, 1.0, 5), ("filters.last", 0.5, 1.5, 3)), 2),
+        # The first point fails to build.
+        (_failing_scan_config(_GRUDS, _CUT_FIRST, ("filters.last", 1.5, 1.0, 2), ("links.0.v", 0.0, 1.0, 5)), 2),
+        # Link 1's filtered state fails validation from point 1 on, each point with its own eigenvalue.
+        (_failing_scan_config(_BARELY_VALID_AND_GROUND, _UNFILTERED, ("filters.first", 1.0, 0.5, 6)), 2),
+        # last 0 annihilates link 2 at point 2, before link 1 fails validation at point 3.
+        (_failing_scan_config(
+            _BARELY_VALID_AND_GROUND, _UNFILTERED, ("filters.first", 1.0, 0.5, 6), ("filters.last", 1.0, 0.0, 3)
+        ), 3),
+        # In the second chunk of 33 x 33 points, a strength of 1.01 fails to build at point 1,056.
+        (_workload_scan_config(("channels.0.param", "filters.middle.1.0"), 33) | {"scan": {"axes": [
+            {"path": "filters.middle.1.0", "min": 0.2, "max": 1.01, "steps": 33},
+            {"path": "channels.0.param", "min": 0.0, "max": 0.3, "steps": 33},
+        ]}}, 2),
+    ],
+    ids=[
+        "annihilation-before-build-error",
+        "build-error-mid-chunk",
+        "build-error-first",
+        "filtered-state-mid-chunk",
+        "annihilation-before-filtered-state",
+        "build-error-in-second-chunk",
+    ],
+)
+def test_scan_fails_at_the_first_failing_point_with_its_message(tmp_path, capsys, cfg, code):
+    expected = _pointwise_scan(cfg)
+    assert expected[0] == code
+    assert _run(capsys, "scan", "--config", _write(tmp_path, cfg)) == expected
 
 
 def test_scan_output_is_deterministic(tmp_path, capsys):
@@ -1197,6 +1325,46 @@ def test_region_search_skips_annihilated_points(capsys):
         evaluate(build_network(config_with_values(cfg, {"links.0.v": 1.0, "filters.first": 0.0})))
     assert _run_region("t", cfg, None) is True
     assert capsys.readouterr().out == "witness at t = (0, 0.5, 0.1): b_seq 1.1700827206\n"
+
+
+def test_region_search_evaluates_each_point_as_a_fresh_network(capsys, monkeypatch):
+    # At v1 = 1 (|00>), a first middle strength of 0 annihilates link 1: a stripe of 10 points.
+    cfg = copy.deepcopy(_REPRODUCTIONS["bilocal-grud-allfilter"][1]["config"])
+    cfg["scan"]["axes"][1]["min"] = 0.0
+    axes = scan_axes(cfg)
+    paths = [axis.path for axis in axes]
+    outcomes = []
+
+    def recorded(spec):
+        try:
+            outcomes.append(evaluate(spec))
+        except FilterAnnihilatesState as exc:
+            outcomes.append(exc)
+            raise
+        return outcomes[-1]
+
+    monkeypatch.setattr("qnetfilter.cli.evaluate", recorded)
+    assert _run_region("t", cfg, 0.3) is True
+    best = None
+    points = list(itertools.product(*[axis.values.tolist() for axis in axes]))
+    assert len(outcomes) == len(points) == 1100
+    for point, outcome in zip(points, outcomes):
+        try:
+            fresh = evaluate(_fresh_network(cfg, paths, point))
+        except FilterAnnihilatesState as exc:
+            assert isinstance(outcome, FilterAnnihilatesState) and str(outcome) == str(exc)
+            continue
+        assert [float(v).hex() for v in dataclasses.astuple(outcome)] == [
+            float(v).hex() for v in dataclasses.astuple(fresh)
+        ]
+        hidden = fresh.b_lin <= 1.0 < fresh.b_seq and fresh.success_prob >= 0.3
+        if hidden and (best is None or fresh.b_seq > best[1].b_seq):
+            best = point, fresh
+    assert sum(isinstance(outcome, FilterAnnihilatesState) for outcome in outcomes) == 10
+    point, result = best
+    coords = ", ".join(f"{v:.12g}" for v in point)
+    witness = f"witness at t = ({coords}): b_seq {result.b_seq:.12g}, success {result.success_prob:.12g}\n"
+    assert capsys.readouterr().out == witness
 
 
 def test_reproduce_bilocal_grud(capsys):

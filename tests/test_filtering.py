@@ -142,6 +142,13 @@ class TestFilterNetwork:
         assert overall == 1.0
         assert np.array_equal(filtered, np.stack(states))
 
+    def test_strengths_are_one_read_only_row_per_link(self) -> None:
+        spec = NetworkFilterSpec(eps_first=0.1, eps_last=0.6, middle=((0.2, 0.3), (0.4, 0.5)))
+        assert spec._strengths.tolist() == [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]
+        assert spec._strengths is spec._strengths
+        with pytest.raises(ValueError, match="read-only"):
+            spec._strengths[0, 0] = 1.0
+
     def test_identity_classmethod(self) -> None:
         spec = NetworkFilterSpec.identity(4)
         assert spec.eps_first == spec.eps_last == 1.0
@@ -309,6 +316,7 @@ class TestFilterChains:
         filtered, success, alive = _filter_chains(chains, eps)
         assert filtered.shape == chains.shape and success.shape == alive.shape + (n,) == (40, n)
         for chain, links in enumerate(chains):
+            assert np.array_equal(chain_spec(eps[chain])._strengths, eps[chain])
             try:
                 expected, overall = filter_network(links, chain_spec(eps[chain]))
             except FilterAnnihilatesState:

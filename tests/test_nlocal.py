@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,80 @@ class TestDerivedSpec:
             with pytest.raises(ValueError, match="^decomposition coefficient has imaginary part 1.000e-09$"):
                 evaluate(target)
         assert "_unfiltered" not in spec.__dict__
+
+
+def _random_filters(rng: np.random.Generator, n: int) -> NetworkFilterSpec:
+    eps = rng.uniform(0.05, 1.0, size=2 * n).tolist()
+    return NetworkFilterSpec(eps[0], eps[-1], tuple(zip(eps[1:-1:2], eps[2::2])))
+
+
+class TestBoundChains:
+    """One stacked pass keeps on each spec the floats that the spec computes on its own."""
+
+    SKEWED = np.eye(4, dtype=complex) / 4.0
+    SKEWED[0, 1] = SKEWED[1, 0] = 5e-10j
+
+    def chains(self, rng: np.random.Generator) -> list[NetworkSpec]:
+        """Filtered, identity, annihilated and derived chains of 3 links."""
+        specs = []
+        for k in range(24):
+            links = [random_density(rng) for _ in range(3)]
+            if k % 6 == 1:
+                specs.append(NetworkSpec(links=links))
+            elif k % 6 == 2:
+                links[1] = PRODUCT_00
+                specs.append(NetworkSpec(links=links, filters=NetworkFilterSpec(middle=((1.0, 0.0), (0.5, 0.5)))))
+            else:
+                specs.append(NetworkSpec(links=links, filters=_random_filters(rng, 3)))
+        specs.append(specs[0]._with_filters(_random_filters(rng, 3)))
+        return specs
+
+    def test_each_spec_keeps_its_own_floats(self) -> None:
+        specs = self.chains(np.random.default_rng(28))
+        nlocal._bound_chains(specs)
+        for spec in specs:
+            fresh = NetworkSpec(links=spec.links, filters=spec.filters)
+            assert spec.__dict__["_unfiltered"].hex() == fresh._unfiltered.hex()
+            try:
+                expected = b_seq(fresh)
+            except FilterAnnihilatesState as exc:
+                assert spec.__dict__.keys() == {"links", "filters", "_unfiltered"}
+                with pytest.raises(FilterAnnihilatesState, match=f"^{re.escape(str(exc))}$"):
+                    evaluate(spec)
+                continue
+            filtered, _ = spec.__dict__["_filtered"]
+            assert np.array_equal(filtered, fresh._filtered[0]) and not filtered.flags.writeable
+            assert [value.hex() for value in b_seq(spec)] == [value.hex() for value in expected]
+        assert sum("_filtered" not in spec.__dict__ for spec in specs) == 4
+
+    def test_evaluate_reads_the_kept_results(self, monkeypatch) -> None:
+        specs = self.chains(np.random.default_rng(29))
+        expected = [dataclasses.astuple(evaluate(NetworkSpec(links=s.links, filters=s.filters))) for s in specs[:2]]
+        nlocal._bound_chains(specs)
+
+        def unexpected(*args):
+            raise AssertionError("recomputed a kept result")
+
+        monkeypatch.setattr(nlocal, "filter_network", unexpected)
+        monkeypatch.setattr(nlocal, "_bound", unexpected)
+        assert [dataclasses.astuple(evaluate(spec)) for spec in specs[:2]] == expected
+
+    @pytest.mark.parametrize("position", [0, 5, 24])
+    @pytest.mark.parametrize("failure", ["decomposition", "filtered-state"])
+    def test_a_stack_that_raises_keeps_nothing(self, position, failure) -> None:
+        specs = self.chains(np.random.default_rng(30))
+        links = list(specs[position].links)
+        if failure == "decomposition":
+            links[2] = self.SKEWED
+            filters = specs[position].filters
+        else:
+            links[0] = np.diag([0.5, 0.25, 0.25 + 9e-10, -9e-10])  # the filter amplifies its eigenvalue of -9e-10
+            filters = NetworkFilterSpec(eps_first=1e-4, middle=((1e-4, 1.0), (1.0, 1.0)))
+        specs[position] = NetworkSpec(links=links, filters=filters)
+        nlocal._bound_chains(specs)
+        assert all(spec.__dict__.keys() == {"links", "filters"} for spec in specs)
+        with pytest.raises(ValueError, match="^decomposition coefficient|^link 1: filtered state has"):
+            evaluate(specs[position])
 
 
 class TestBLin:

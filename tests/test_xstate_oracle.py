@@ -20,14 +20,18 @@ On X-states see Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007).
 from __future__ import annotations
 
 import copy
+import itertools
 import math
+import re
 
 import numpy as np
 
-from qnetfilter import b_seq, build_network
-from qnetfilter.config import network_factory
+from qnetfilter import b_seq, build_network, cli
+from qnetfilter.config import network_factory, scan_axes
 
 ATOL = 1e-12
+# The CLI prints 12 significant digits: a printed value is within this fraction of its float.
+PRINTED_RTOL = 5e-12
 CHAINS = 1200
 FAMILIES = ("grud", "werner", "x", "pure_theta")
 
@@ -170,3 +174,78 @@ def test_a_scan_grid_matches_the_closed_form() -> None:
             expected_bound, expected_success = xstate_b_seq(point)
             assert abs(bound - expected_bound) <= ATOL, (noise, strength)
             assert abs(success - expected_success) <= ATOL, (noise, strength)
+
+
+def _assign(cfg: dict, paths: list[str], values) -> dict:
+    """A copy of ``cfg`` with each dotted path set to its value."""
+    point = copy.deepcopy(cfg)
+    for path, value in zip(paths, values):
+        *head, leaf = (int(part) if part.isdigit() else part for part in path.split("."))
+        node = point
+        for key in head:
+            node = node[key]
+        node[leaf] = value
+    return point
+
+
+def _closed_form_point(cfg: dict, paths: list[str], values) -> tuple[float, float, float]:
+    """b_lin, b_seq and the success at one grid point; b_lin is b_seq under identity filters."""
+    point = _assign(cfg, paths, values)
+    return (xstate_b_seq({**point, "filters": {}})[0], *xstate_b_seq(point))
+
+
+def _grid_points(cfg: dict) -> tuple[list[str], list[tuple[float, ...]]]:
+    axes = scan_axes(cfg)
+    return [axis.path for axis in axes], list(itertools.product(*[axis.values.tolist() for axis in axes]))
+
+
+def _printed(text: str, expected: float) -> bool:
+    return abs(float(text) - expected) <= ATOL + PRINTED_RTOL * abs(expected)
+
+
+def test_scan_rows_of_a_grid_in_two_chunks_match_the_closed_form() -> None:
+    # 11 x 10 x 10 points: more than one stacked pass of the grid.
+    rng = np.random.default_rng(1100)
+    sides = ("left", "right", "both")[rng.integers(3)]
+    cfg = {
+        "links": [
+            {"family": "pure_theta", "theta": float(rng.uniform(0.3, math.pi / 4))},
+            {"family": "grud", "v": float(rng.uniform(0.0, 0.2)), "x": float(rng.uniform(0.3, 0.78))},
+            {"family": "pure_theta", "theta": float(rng.uniform(0.3, math.pi / 4))},
+        ],
+        "channels": [{"link": 2, "type": "bit_flip", "param": 0.0, "sides": sides}],
+        "filters": {"first": 1.0, "last": 1.0, "middle": rng.uniform(0.05, 1.0, size=(2, 2)).tolist()},
+    }
+    cfg["scan"] = {"axes": [
+        {"path": "channels.0.param", "min": 0.0, "max": 0.5, "steps": 11},
+        {"path": "filters.middle.0.1", "min": 0.05, "max": 1.0, "steps": 10},
+        {"path": "filters.last", "min": 0.05, "max": 1.0, "steps": 10},
+    ]}
+    paths, points = _grid_points(cfg)
+    _, rows = cli._scan_rows(cfg)
+    assert len(rows) == len(points) == 1100
+    bounds = []
+    for values, row in zip(points, rows):
+        expected = _closed_form_point(cfg, paths, values)
+        assert all(_printed(text, value) for text, value in zip(row[3:6], expected)), (values, row)
+        if abs(expected[1] - 1.0) > ATOL:
+            assert row[6] == ("1" if expected[1] > 1.0 else "0"), (values, row)
+        bounds.append(expected[1])
+    assert min(bounds) < 1.0 < max(bounds)
+
+
+def test_the_region_witness_matches_the_closed_form(capsys) -> None:
+    fields = cli._REPRODUCTIONS["bilocal-grud-allfilter"][1]
+    cfg, min_success = fields["config"], fields["min_success"]
+    assert cli._run_region("r", cfg, min_success) is True
+    printed = re.fullmatch(r"witness at r = \((.*)\): b_seq (\S+), success (\S+)\n", capsys.readouterr().out)
+    paths, points = _grid_points(cfg)
+    assert len(points) == 1100
+    best = None
+    for values in points:
+        unfiltered, bound, success = _closed_form_point(cfg, paths, values)
+        if unfiltered <= 1.0 < bound and success >= min_success and (best is None or bound > best[1]):
+            best = values, bound, success
+    values, bound, success = best
+    assert printed.group(1) == ", ".join(f"{v:.12g}" for v in values)
+    assert _printed(printed.group(2), bound) and _printed(printed.group(3), success)
