@@ -99,12 +99,11 @@ def _grid(cfg: dict, axes: list[ScanAxis]) -> Iterator[tuple[tuple[float, ...], 
     so an earlier point's own error, read when the caller evaluates it, comes first.
     """
     build = network_factory(cfg, [axis.path for axis in axes])
-    points = itertools.product(*[axis.values for axis in axes])
+    points = itertools.product(*[axis.values.tolist() for axis in axes])
     while chunk := list(itertools.islice(points, _STACK_SIZE)):
         built = []
         error = None
-        for point in chunk:
-            values = tuple(float(v) for v in point)
+        for values in chunk:
             try:
                 built.append((values, build(values)))
             except ValueError as exc:

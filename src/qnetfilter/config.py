@@ -214,13 +214,17 @@ def _apply_channels(cfg: dict, states: list[np.ndarray]) -> list[np.ndarray]:
     return states
 
 
-def build_states(cfg: dict) -> list[np.ndarray]:
-    """Build the link states with all channels applied (filters excluded)."""
+def _states(cfg: dict, link: Callable[[int, object], np.ndarray]) -> list[np.ndarray]:
+    """The link states, each one ``link(index, entry)``, with all channels applied in channel order."""
     links = cfg.get("links")
     if not isinstance(links, list) or not links:
         raise ConfigError("links must be a non-empty array")
-    states = [_build_link(index, entry) for index, entry in enumerate(links)]
-    return _apply_channels(cfg, states)
+    return _apply_channels(cfg, [link(index, entry) for index, entry in enumerate(links)])
+
+
+def build_states(cfg: dict) -> list[np.ndarray]:
+    """Build the link states with all channels applied (filters excluded)."""
+    return _states(cfg, _build_link)
 
 
 def build_filter_spec(cfg: dict, n_links: int) -> NetworkFilterSpec:
@@ -256,6 +260,12 @@ def build_network(cfg: dict) -> NetworkSpec:
 _STATE_FIELDS = ("links", "channels")
 
 
+def _link_of(path: str) -> int | None:
+    """The index of the one link whose entry a ``links.*`` path sets; None when it may set any link."""
+    index = path.split(".")[1:2]
+    return int(index[0]) if index and index[0].isascii() and index[0].isdigit() else None
+
+
 def network_factory(cfg: dict, paths: Sequence[str]) -> Callable[[Sequence[float]], NetworkSpec]:
     """A function from values of the dotted ``paths`` to the network ``cfg`` describes with them.
 
@@ -263,12 +273,18 @@ def network_factory(cfg: dict, paths: Sequence[str]) -> Callable[[Sequence[float
     states only when a value on a ``links.*`` or ``channels.*`` path differs from the
     previous call that built without error; otherwise it derives the network from that
     call's, for the new filters: the derived spec shares the validated links and their
-    unfiltered bound.
+    unfiltered bound.  A rebuild constructs a link again only when a value on one of its
+    own ``links.<i>.*`` paths (or on the whole ``links`` array) differs from the call that
+    last constructed it; the channels are then applied to every link, in channel order.
     """
     state_paths = [k for k, path in enumerate(paths) if path.split(".", 1)[0] in _STATE_FIELDS]
+    # Each links.* value's position in a state key, and the link it sets (None: any link).
+    link_values = [(j, _link_of(paths[k])) for j, k in enumerate(state_paths) if paths[k].startswith("links")]
     # The state-path values and the network of the last call that built without error.
     last_key: list[str] | None = None
     last_spec: NetworkSpec | None = None
+    # Per link index, the values on its own paths and the state constructed from them, before any channel.
+    constructed: dict[int, tuple[list[str], np.ndarray]] = {}
 
     def build(values: Sequence[float]) -> NetworkSpec:
         nonlocal last_key, last_spec
@@ -277,7 +293,14 @@ def network_factory(cfg: dict, paths: Sequence[str]) -> Callable[[Sequence[float
         if key == last_key:
             spec = last_spec._with_filters(build_filter_spec(point, last_spec.n))
         else:
-            states = build_states(point)
+
+            def link(index: int, entry: object) -> np.ndarray:
+                link_key = [key[j] for j, target in link_values if target in (index, None)]
+                if index not in constructed or constructed[index][0] != link_key:
+                    constructed[index] = (link_key, _build_link(index, entry))
+                return constructed[index][1]
+
+            states = _states(point, link)
             if len(states) < 2:
                 raise ConfigError("links: a chain needs at least 2 links")
             spec = NetworkSpec(links=tuple(states), filters=build_filter_spec(point, len(states)))

@@ -82,13 +82,15 @@ class NetworkFilterSpec:
         """All-ones assignment for a chain of ``n_links`` links."""
         return cls(middle=((1.0, 1.0),) * (n_links - 1))
 
+    @property
+    def _flat_strengths(self) -> tuple[float, ...]:
+        """(eps_first, *middle pairs, eps_last): entries 2j and 2j+1 are link j's strengths (left, right)."""
+        return (self.eps_first, *itertools.chain.from_iterable(self.middle), self.eps_last)
+
     @functools.cached_property
     def _strengths(self) -> np.ndarray:
-        """The read-only ``(n, 2)`` strengths (left, right) of the links, built once.
-
-        Row j holds entries 2j and 2j+1 of (eps_first, *middle pairs, eps_last).
-        """
-        eps = np.array((self.eps_first, *itertools.chain.from_iterable(self.middle), self.eps_last)).reshape(-1, 2)
+        """The read-only ``(n, 2)`` strengths (left, right) of the links, built once."""
+        eps = np.array(self._flat_strengths).reshape(-1, 2)
         eps.flags.writeable = False
         return eps
 

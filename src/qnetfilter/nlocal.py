@@ -205,22 +205,27 @@ def b_seq(spec: NetworkSpec) -> tuple[float, float]:
 def _bound_chains(specs: list[NetworkSpec]) -> None:
     """Filter and bound the chains of ``specs``, all of one length, as one stack, and keep the results on each spec.
 
-    One ``_bound`` for the raw chains, one ``_filter_chains`` and one ``_bound`` for the chains that
-    survive, with the arithmetic of ``_unfiltered``, ``_filtered`` and ``_filtered_bound`` on one spec,
-    so every float is theirs to the bit.  A spec whose chain annihilates keeps only its raw bound:
-    its own filtering raises the annihilation on use.  When any step raises, no spec keeps anything,
-    and each one computes, and raises, its own results on use, in the order its caller asks for them.
+    One ``_bound`` for the distinct raw chains (specs derived by ``_with_filters`` share theirs), one
+    ``_filter_chains`` and one ``_bound`` for the chains that survive, with the arithmetic of
+    ``_unfiltered``, ``_filtered`` and ``_filtered_bound`` on one spec, so every float is theirs to the
+    bit.  A spec whose chain annihilates keeps only its raw bound: its own filtering raises the
+    annihilation on use.  When any step raises, no spec keeps anything, and each one computes, and
+    raises, its own results on use, in the order its caller asks for them.
     """
+    distinct = {id(spec.links): spec.links for spec in specs}  # each links array once, by identity
+    rows = {key: row for row, key in enumerate(distinct)}
+    index = [rows[id(spec.links)] for spec in specs]
     try:
-        links = np.stack([spec.links for spec in specs])
-        raw = _bound(_bloch_form(links).W)
-        filtered, success, alive = _filter_chains(links, np.stack([spec.filters._strengths for spec in specs]))
+        unique = np.stack(list(distinct.values()))
+        raw = _bound(_bloch_form(unique).W).tolist()
+        strengths = np.array([spec.filters._flat_strengths for spec in specs]).reshape(len(specs), -1, 2)
+        filtered, success, alive = _filter_chains(unique[index], strengths)
         bounds = iter(_bound(_bloch_form(filtered[alive]).W).tolist())
     except ValueError:
         return
     filtered.flags.writeable = False
-    for spec, unfiltered, chain, successes, survives in zip(specs, raw.tolist(), filtered, success.tolist(), alive):
-        spec.__dict__["_unfiltered"] = unfiltered
+    for spec, row, chain, successes, survives in zip(specs, index, filtered, success.tolist(), alive):
+        spec.__dict__["_unfiltered"] = raw[row]
         if survives:
             spec.__dict__.update(_filtered=(chain, math.prod(successes)), _filtered_bound=next(bounds))
 

@@ -24,7 +24,11 @@ every ``ValueError``, that these calls give:
 - the region search ``cli._run_region`` over 11 x 10 x 10 points of a bilocal
   grud chain, which the grid takes in two chunks: whether it finds a witness,
   what it prints, and every result, or annihilation, of its ``evaluate`` calls.
-  A stripe of 10 points annihilates.
+  A stripe of 10 points annihilates;
+- the rows of a 5x5 scan of a trilocal chain over link 2's ``v`` and the
+  strength of a bit flip on link 1, which carries a fixed amplitude damping
+  before it: the factory constructs link 2 again for each ``v`` and reuses
+  links 1 and 3, and applies both channels to link 1 in order at each point.
 
 Two commits that print the same hash computed the same bits on this corpus, so
 a change meant to keep every output can be checked by running the script before
@@ -169,6 +173,24 @@ REGION_CONFIG = {
     ]},
 }
 
+# Link 2 is scanned; link 1 carries a fixed damping and then a scanned bit flip.
+REUSE_SCAN_CONFIG = {
+    "links": [
+        {"family": "grud", "v": 0.05, "x": 0.5},
+        {"family": "grud", "v": 0.1, "x": 0.6},
+        {"family": "pure_theta", "theta": 0.7},
+    ],
+    "channels": [
+        {"link": 1, "type": "amplitude_damping", "param": 0.15, "sides": "left"},
+        {"link": 1, "type": "bit_flip", "param": 0.0, "sides": "both"},
+    ],
+    "filters": {"first": 0.9, "last": 0.7, "middle": [[0.6, 0.95], [0.85, 0.5]]},
+    "scan": {"axes": [
+        {"path": "links.1.v", "min": 0.0, "max": 0.6, "steps": 5},
+        {"path": "channels.1.param", "min": 0.0, "max": 0.4, "steps": 5},
+    ]},
+}
+
 
 def region_search(cfg: dict) -> list:
     """Whether ``cli._run_region`` finds a witness, what it prints, and each of its ``evaluate`` outcomes."""
@@ -231,6 +253,7 @@ def fingerprint() -> tuple[str, int, int]:
     for values in assignments.tolist():
         outcomes.append(_record(digest, optimize_objective, values))
     outcomes.append(_record(digest, region_search, REGION_CONFIG))
+    outcomes.append(_record(digest, cli._scan_rows, REUSE_SCAN_CONFIG))
     return digest.hexdigest(), len(outcomes), sum(outcomes)
 
 

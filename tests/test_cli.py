@@ -35,6 +35,7 @@ from qnetfilter import (
     pure_theta_state,
     validate_density,
 )
+from qnetfilter import config as config_module
 from qnetfilter import nlocal
 from qnetfilter.cli import _REPRODUCTIONS, NoCrossing, _grid, _run_region, _scan_rows, _threshold, main
 from qnetfilter.config import build_filter_spec, config_with_values, scan_axes
@@ -510,31 +511,40 @@ def _noisy_scan_config(*paths):
     return cfg
 
 
+def _count_link_constructions(monkeypatch) -> list[int]:
+    """The index of each link that ``config._build_link`` constructs from then on, in call order."""
+    calls = []
+    build_link = config_module._build_link
+
+    def counted(index, entry):
+        calls.append(index)
+        return build_link(index, entry)
+
+    monkeypatch.setattr(config_module, "_build_link", counted)
+    return calls
+
+
 @pytest.mark.parametrize(
-    "paths, states_built",
+    "paths, constructed",
     [
-        (("filters.middle.0.0", "filters.middle.0.1"), 1),
-        (("channels.0.param", "filters.middle.0.0"), 3),
-        (("filters.middle.0.0", "channels.0.param"), 9),
-        (("links.0.v", "filters.middle.0.1"), 3),
+        (("filters.middle.0.0", "filters.middle.0.1"), (1, 1)),
+        (("channels.0.param", "filters.middle.0.0"), (1, 1)),
+        (("filters.middle.0.0", "channels.0.param"), (1, 1)),
+        (("links.0.v", "filters.middle.0.1"), (3, 1)),
+        (("channels.0.param", "links.0.v"), (9, 1)),
     ],
-    ids=["filters-only", "noise-outer", "noise-inner", "link-axis"],
+    ids=["filters-only", "noise-outer", "noise-inner", "link-axis", "link-axis-inner"],
 )
 def test_scan_rebuilds_link_states_only_when_an_axis_changes_them(
-    tmp_path, capsys, monkeypatch, paths, states_built
+    tmp_path, capsys, monkeypatch, paths, constructed
 ):
+    # Each link is constructed again only when a value on its own links.<i>.* path changes.
     cfg = _noisy_scan_config(*paths)
     expected = _pointwise_scan(cfg)
-    calls = []
-
-    def counted(point):
-        calls.append(point)
-        return build_states(point)
-
-    monkeypatch.setattr("qnetfilter.config.build_states", counted)
+    calls = _count_link_constructions(monkeypatch)
     assert expected[0] == 0
     assert _run(capsys, "scan", "--config", _write(tmp_path, cfg)) == expected
-    assert len(calls) == states_built
+    assert tuple(calls.count(index) for index in range(2)) == constructed
 
 
 def _workload_scan_config(paths, steps):
@@ -589,8 +599,104 @@ def test_the_workload_grid_validates_each_state_set_and_the_filtered_stack_once(
     for module in ("core", "states", "config", "filtering", "nlocal"):
         monkeypatch.setattr(f"qnetfilter.{module}.validate_density", counted)
     _scan_rows(_workload_scan_config(("channels.0.param", "filters.middle.1.0"), 7))
-    # Per noise value, three grud links and the chain; then the 49 chains' filter outputs as one stack.
-    assert validated == ([(4, 4)] * 3 + [(3, 4, 4)]) * 7 + [(147, 4, 4)]
+    # The three grud links once; per noise value, the chain with its channel applied; then the 49
+    # chains' filter outputs as one stack.
+    assert validated == [(4, 4)] * 3 + [(3, 4, 4)] * 7 + [(147, 4, 4)]
+
+
+_TRILOCAL_GRUDS = [{"family": "grud", "v": 0.1, "x": x} for x in (0.35, 0.56, 0.78)]
+_TRILOCAL_FILTERS = {"first": 0.9, "last": 0.8, "middle": [[0.6, 0.99], [0.7, 0.95]]}
+# An axis on the |01><01| entry moves the trace by at most 9e-10, inside the 1e-9 that validation allows.
+_EXPLICIT = [{"family": "explicit", "matrix": matrix_to_pairs(np.diag([0.4, 0.2, 0.25, 0.15]))}]
+
+
+def _reuse_scan_config(links, channels, *axes):
+    return {
+        "links": copy.deepcopy(links),
+        "channels": channels,
+        "filters": copy.deepcopy(_TRILOCAL_FILTERS),
+        "scan": {"axes": [{"path": p, "min": low, "max": high, "steps": steps} for p, low, high, steps in axes]},
+    }
+
+
+@pytest.mark.parametrize(
+    "cfg, constructed",
+    [
+        # The middle link moves; the channel on link 3 is applied again to a reused link 3.
+        (_reuse_scan_config(
+            _TRILOCAL_GRUDS, [{"link": 3, "type": "bit_flip", "param": 0.1, "sides": "right"}],
+            ("links.1.v", 0.0, 0.4, 3), ("filters.middle.0.1", 0.3, 1.0, 3),
+        ), (1, 3, 1)),
+        # Two channels on link 2, in order, the second scanned: no link is constructed again.
+        (_reuse_scan_config(
+            _TRILOCAL_GRUDS,
+            [
+                {"link": 2, "type": "bit_flip", "param": 0.1, "sides": "left"},
+                {"link": 2, "type": "amplitude_damping", "param": 0.0, "sides": "both"},
+            ],
+            ("filters.first", 0.5, 1.0, 3), ("channels.1.param", 0.0, 0.6, 4),
+        ), (1, 1, 1)),
+        # Link 2 and the channel on it both scanned, the link outer.
+        (_reuse_scan_config(
+            _TRILOCAL_GRUDS, [{"link": 2, "type": "bit_flip", "param": 0.0}],
+            ("links.1.v", 0.0, 0.4, 3), ("channels.0.param", 0.0, 0.3, 3),
+        ), (1, 3, 1)),
+        # The same, the channel outer: link 2 is constructed at every point, as its value changes each time.
+        (_reuse_scan_config(
+            _TRILOCAL_GRUDS, [{"link": 2, "type": "bit_flip", "param": 0.0}],
+            ("channels.0.param", 0.0, 0.3, 3), ("links.1.v", 0.0, 0.4, 3),
+        ), (1, 9, 1)),
+        # An explicit link's matrix entry, within the trace tolerance, against a noisy grud link.
+        (_reuse_scan_config(
+            _EXPLICIT + _TRILOCAL_GRUDS[1:], [{"link": 3, "type": "bit_flip", "param": 0.0}],
+            ("links.0.matrix.1.1.0", 0.2, 0.2 + 9e-10, 3), ("channels.0.param", 0.0, 0.3, 3),
+        ), (3, 1, 1)),
+    ],
+    ids=["middle-link", "two-channels-on-one-link", "link-and-its-channel", "channel-and-its-link", "explicit-entry"],
+)
+def test_grids_that_reuse_some_links_evaluate_as_fresh_networks_to_the_bit(
+    tmp_path, capsys, monkeypatch, cfg, constructed
+):
+    axes = scan_axes(cfg)
+    paths = [axis.path for axis in axes]
+    words = {
+        values: [float(v).hex() for v in dataclasses.astuple(evaluate(_fresh_network(cfg, paths, values)))]
+        for values in itertools.product(*[axis.values.tolist() for axis in axes])
+    }
+    expected = _pointwise_scan(cfg)
+    calls = _count_link_constructions(monkeypatch)
+    points = list(_grid(cfg, axes))
+    assert tuple(calls.count(index) for index in range(3)) == constructed
+    for values, spec in points:
+        assert [float(v).hex() for v in dataclasses.astuple(evaluate(spec))] == words[values], values
+    # Each axis moves the results at every value of the other, so a stale link would show.
+    for other in range(2):
+        assert len({(values[other], *words[values]) for values in words}) == len(words)
+    assert expected[0] == 0
+    assert _run(capsys, "scan", "--config", _write(tmp_path, cfg)) == expected
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        # Link 2 is constructed again at each point and fails at v = 1.25, the fourth point; links 1
+        # and 3 are reused.
+        (_reuse_scan_config(
+            _TRILOCAL_GRUDS, [{"link": 3, "type": "bit_flip", "param": 0.1}],
+            ("filters.first", 0.5, 1.0, 2), ("links.1.v", 0.5, 1.5, 5),
+        ), "config error: links.1: v must lie in [0, 1], got 1.25\n"),
+        # The channel on a reused link fails at p = 1.25, the fourth point.
+        (_reuse_scan_config(
+            _TRILOCAL_GRUDS, [{"link": 2, "type": "bit_flip", "param": 0.0}],
+            ("links.0.v", 0.0, 0.2, 2), ("channels.0.param", 0.5, 1.5, 5),
+        ), "config error: channels.0: p must lie in [0, 1], got 1.25\n"),
+    ],
+    ids=["constructor-error-on-a-rebuilt-link", "channel-error-on-a-reused-link"],
+)
+def test_a_grid_that_reuses_links_fails_where_a_pointwise_scan_fails(tmp_path, capsys, cfg, message):
+    expected = _pointwise_scan(cfg)
+    assert expected == (2, "", message)
+    assert _run(capsys, "scan", "--config", _write(tmp_path, cfg)) == expected
 
 
 def _failing_scan_config(links, filters, *axes):
@@ -1140,20 +1246,14 @@ OPTIMIZE_EXAMPLE_STDOUT = """{
 
 
 def test_optimize_stdout_is_unchanged_by_state_reuse(tmp_path, capsys, monkeypatch):
-    calls = []
-
-    def counted(point):
-        calls.append(point)
-        return build_states(point)
-
-    monkeypatch.setattr("qnetfilter.config.build_states", counted)
+    calls = _count_link_constructions(monkeypatch)
     code, out, err = _run(
         capsys, "optimize", "--config", _write(tmp_path, _example_config()),
         "--free", "filters.middle.0.0,filters.middle.0.1",
     )
     assert (code, err) == (0, "")
     assert out == OPTIMIZE_EXAMPLE_STDOUT
-    assert len(calls) == 1  # the free paths are all filters
+    assert calls == [0, 1]  # the free paths are all filters: each link is constructed once
 
 
 def test_optimize_recovers_reference_violation(tmp_path, capsys):

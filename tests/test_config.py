@@ -28,6 +28,7 @@ from qnetfilter import (
     validate_density,
     werner_state,
 )
+from qnetfilter import config
 from qnetfilter.cli import _scan_rows
 from qnetfilter.config import build_filter_spec, config_seed, config_with_values, network_factory
 
@@ -369,6 +370,26 @@ class TestNetworkFactory:
         spec = build((0.2, 0.5))
         assert len(validated) == 2 and spec.links is not first.links
         assert hex_words(spec) == hex_words(fresh_network(cfg, paths, (0.2, 0.5)))
+
+
+    def test_a_value_on_the_whole_links_array_constructs_every_link(self, monkeypatch) -> None:
+        cfg = noisy_trilocal_config("channels.0.param", "filters.middle.0.1")
+        paths = ["links", "filters.middle.0.1"]
+        moved = copy.deepcopy(cfg["links"])
+        moved[2]["x"] = 0.4
+        points = [(cfg["links"], 0.5), (cfg["links"], 0.7), (moved, 0.7), (moved, 0.5)]
+        expected = [hex_words(fresh_network(cfg, paths, values)) for values in points]
+        constructed = []
+        build_link = config._build_link
+
+        def counted(index, entry):
+            constructed.append(index)
+            return build_link(index, entry)
+
+        monkeypatch.setattr(config, "_build_link", counted)
+        build = network_factory(cfg, paths)
+        assert [hex_words(build(values)) for values in points] == expected
+        assert constructed == [0, 1, 2, 0, 1, 2]  # only link 3 moved, yet all three are constructed again
 
 
 class TestBuildSettings:

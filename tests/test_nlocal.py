@@ -344,6 +344,29 @@ class TestBoundChains:
         monkeypatch.setattr(nlocal, "_bound", unexpected)
         assert [dataclasses.astuple(evaluate(spec)) for spec in specs[:2]] == expected
 
+    def test_the_workload_grid_decomposes_each_raw_chain_once(self, monkeypatch) -> None:
+        # A trilocal grud chain with bit flip on link 2, over 7 noise values and 7 filter strengths:
+        # the factory derives the 7 specs of one noise value from its first, so they share its links.
+        cfg = {
+            "links": [{"family": "grud", "v": 0.1, "x": x} for x in (0.35, 0.56, 0.78)],
+            "channels": [{"link": 2, "type": "bit_flip", "param": 0.0}],
+            "filters": {"first": 0.9, "last": 0.8, "middle": [[0.6, 0.99], [0.99, 0.99]]},
+        }
+        build = network_factory(cfg, ["channels.0.param", "filters.middle.0.1"])
+        grid = itertools.product(np.linspace(0.0, 0.3, 7).tolist(), np.linspace(0.3, 1.0, 7).tolist())
+        specs = [build(values) for values in grid]
+        expected = [NetworkSpec(links=spec.links, filters=spec.filters)._unfiltered.hex() for spec in specs]
+        decomposed = []
+
+        def counted(mat):
+            decomposed.append(mat.shape)
+            return _bloch_form(mat)
+
+        monkeypatch.setattr(nlocal, "_bloch_form", counted)
+        nlocal._bound_chains(specs)
+        assert decomposed == [(7, 3, 4, 4), (49, 3, 4, 4)]  # the raw chains, then the filtered ones
+        assert [spec.__dict__["_unfiltered"].hex() for spec in specs] == expected
+
     @pytest.mark.parametrize("position", [0, 5, 24])
     @pytest.mark.parametrize("failure", ["decomposition", "filtered-state"])
     def test_a_stack_that_raises_keeps_nothing(self, position, failure) -> None:

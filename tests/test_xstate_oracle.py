@@ -21,13 +21,16 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 import math
 import re
 
 import numpy as np
+import pytest
 
 from qnetfilter import b_seq, build_network, cli
 from qnetfilter.config import network_factory, scan_axes
+from record_cli_goldens import CASES, GOLDENS_PATH, run_case
 
 ATOL = 1e-12
 # The CLI prints 12 significant digits: a printed value is within this fraction of its float.
@@ -249,3 +252,74 @@ def test_the_region_witness_matches_the_closed_form(capsys) -> None:
     values, bound, success = best
     assert printed.group(1) == ", ".join(f"{v:.12g}" for v in values)
     assert _printed(printed.group(2), bound) and _printed(printed.group(3), success)
+
+
+def _recorded_builds(monkeypatch) -> list:
+    """Each ``(values, spec)`` that the CLI's network factories build from then on, in call order."""
+    built = []
+
+    def factory(cfg: dict, paths: list[str]):
+        build = network_factory(cfg, paths)
+
+        def recorded(values):
+            spec = build(values)
+            built.append((list(values), spec))
+            return spec
+
+        return recorded
+
+    monkeypatch.setattr(cli, "network_factory", factory)
+    return built
+
+
+def _assert_closed_form(cfg: dict, paths: list[str], built: list) -> None:
+    """Each built spec's raw bound, ``b_seq`` and success against the closed form at its values."""
+    for values, spec in built:
+        unfiltered, bound, success = _closed_form_point(cfg, paths, values)
+        assert abs(spec._unfiltered - unfiltered) <= ATOL, values
+        assert abs(b_seq(spec)[0] - bound) <= ATOL, values
+        assert abs(b_seq(spec)[1] - success) <= ATOL, values
+
+
+CLI_GOLDENS = json.loads(GOLDENS_PATH.read_text(encoding="utf-8"))
+# The golden threshold cases' two noisy pure_theta links.
+(THRESHOLD_GOLDEN_CONFIG,) = [config for name, config, _ in CASES if name == "threshold-b_lin"]
+# Two grud links with amplitude damping on link 2's left qubit: both bounds cross 1 along
+# links.0.v and along the bit flip that channels.0.param adds to link 1, up to 0.5.
+_DAMPED_PAIR = {
+    "links": [{"family": "grud", "v": 0.0, "x": 0.6}, {"family": "grud", "v": 0.1, "x": 0.7}],
+    "channels": [
+        {"link": 1, "type": "bit_flip", "param": 0.0, "sides": "right"},
+        {"link": 2, "type": "amplitude_damping", "param": 0.1, "sides": "left"},
+    ],
+    "filters": {"first": 0.95, "last": 0.76, "middle": [[0.8, 0.97]]},
+}
+
+
+@pytest.mark.parametrize("target", ["b_lin", "b_seq"])
+@pytest.mark.parametrize(
+    "cfg, path, high",
+    [
+        (THRESHOLD_GOLDEN_CONFIG, "channels.0.param", 0.4),
+        (_DAMPED_PAIR, "channels.0.param", 0.5),
+        (_DAMPED_PAIR, "links.0.v", 1.0),
+    ],
+    ids=["golden-bit-flip", "damped-pair-bit-flip", "damped-pair-link"],
+)
+def test_every_threshold_objective_matches_the_closed_form(monkeypatch, cfg, path, high, target) -> None:
+    cfg = dict(cfg, scan={"axes": [{"path": path, "min": 0.0, "max": high, "steps": 2}]})
+    (axis,) = scan_axes(cfg)
+    built = _recorded_builds(monkeypatch)
+    root = cli._threshold(cfg, axis, target)
+    assert 0.0 < root < high and len(built) >= 14  # the endpoints and each bisection step to 1e-4
+    _assert_closed_form(cfg, [path], built)
+
+
+def test_every_optimize_objective_of_the_golden_case_matches_the_closed_form(tmp_path, monkeypatch) -> None:
+    (config, argv), = [(config, argv) for name, config, argv in CASES if name == "optimize"]
+    built = _recorded_builds(monkeypatch)
+    assert list(run_case(config, argv, tmp_path)) == CLI_GOLDENS["optimize"]
+    free = argv[argv.index("--free") + 1].split(",")
+    # The config as given, each Nelder-Mead evaluation of 17 starts, and the argmax.
+    assert len(built) > 17 * 10
+    _assert_closed_form(config, free, built)
