@@ -29,6 +29,16 @@ COMPLETENESS_ATOL = 1e-10
 SIDES = ("both", "left", "right")
 
 
+def _deviations(ops: np.ndarray) -> np.ndarray:
+    """max |sum_i K_i+ K_i - I| of each channel in a ``(..., r, 2, 2)`` stack of Kraus operators."""
+    total = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
+    return np.abs(total - ID2).max(axis=(-2, -1))
+
+
+def _incomplete(name: str, deviation: float) -> ValueError:
+    return ValueError(f"{name}: Kraus completeness deviation {deviation:.3e} exceeds {COMPLETENESS_ATOL:.0e}")
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """A single-qubit channel given by its Kraus operators.
@@ -52,13 +62,56 @@ class KrausChannel:
         for op in ops:
             if op.shape != (2, 2):
                 raise ValueError(f"Kraus operators must be 2x2, got shape {op.shape}")
-        total = sum(op.conj().T @ op for op in ops)
-        deviation = float(np.max(np.abs(total - ID2)))
+        deviation = float(_deviations(np.array(ops)))
         if deviation > COMPLETENESS_ATOL:
-            raise ValueError(
-                f"{self.name}: Kraus completeness deviation {deviation:.3e} exceeds {COMPLETENESS_ATOL:.0e}"
-            )
+            raise _incomplete(self.name, deviation)
         object.__setattr__(self, "ops", ops)
+
+
+def _bit_flip_ops(p: np.ndarray) -> np.ndarray:
+    return np.stack([np.sqrt(1.0 - p)[:, None, None] * ID2, np.sqrt(p)[:, None, None] * SIGMA_X], axis=1)
+
+
+def _damping_ops(gamma: np.ndarray) -> np.ndarray:
+    ops = np.zeros((len(gamma), 2, 2, 2), dtype=complex)
+    ops[:, 0, 0, 0] = 1.0
+    ops[:, 0, 1, 1] = np.sqrt(1.0 - gamma)
+    ops[:, 1, 0, 1] = np.sqrt(gamma)
+    return ops
+
+
+# Each channel type: the name of its parameter and its Kraus operators, as a (k, 2, 2, 2) stack, for k parameters.
+_TYPES = {"bit_flip": ("p", _bit_flip_ops), "amplitude_damping": ("gamma", _damping_ops)}
+
+
+def _check_param(kind: str, value: float) -> None:
+    """Raise ValueError unless the parameter of a ``kind`` channel lies in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{_TYPES[kind][0]} must lie in [0, 1], got {value}")
+
+
+def _name(kind: str, value: float) -> str:
+    return f"{kind}({_TYPES[kind][0]}={value})"
+
+
+def _kraus_ops(kind: str, params: list[float]) -> tuple[np.ndarray, tuple[int, ValueError] | None]:
+    """The ``(k, r, 2, 2)`` Kraus operators of ``kind`` channels at k parameters in [0, 1], checked as one stack.
+
+    Also returns the index of the first channel that fails the completeness check, with its error, or None.
+    """
+    ops = _TYPES[kind][1](np.array(params, dtype=float))
+    deviations = _deviations(ops)
+    failing = np.flatnonzero(deviations > COMPLETENESS_ATOL)
+    if not failing.size:
+        return ops, None
+    first = int(failing[0])
+    return ops, (first, _incomplete(_name(kind, params[first]), float(deviations[first])))
+
+
+def _channel(kind: str, value: float) -> KrausChannel:
+    _check_param(kind, value)
+    ops = _TYPES[kind][1](np.array([value], dtype=float))[0]
+    return KrausChannel(ops=tuple(ops), name=_name(kind, value))
 
 
 def bit_flip(p: float) -> KrausChannel:
@@ -66,12 +119,7 @@ def bit_flip(p: float) -> KrausChannel:
 
     Kraus operators sqrt(1-p) I and sqrt(p) sigma_x.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return KrausChannel(
-        ops=(np.sqrt(1.0 - p) * ID2, np.sqrt(p) * SIGMA_X),
-        name=f"bit_flip(p={p})",
-    )
+    return _channel("bit_flip", p)
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:
@@ -79,14 +127,17 @@ def amplitude_damping(gamma: float) -> KrausChannel:
 
     Kraus operators diag(1, sqrt(1-gamma)) and sqrt(gamma) |0><1|.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    decay = np.zeros((2, 2), dtype=complex)
-    decay[0, 1] = np.sqrt(gamma)
-    return KrausChannel(
-        ops=(np.diag([1.0, np.sqrt(1.0 - gamma)]).astype(complex), decay),
-        name=f"amplitude_damping(gamma={gamma})",
-    )
+    return _channel("amplitude_damping", gamma)
+
+
+def _apply_kraus(states: np.ndarray, ops: np.ndarray, sides: str) -> np.ndarray:
+    """``(k, 4, 4)`` states, each under the channel of its ``(r, 2, 2)`` Kraus operators in ``(k, r, 2, 2)`` ``ops``."""
+    left = ops if sides != "right" else ID2[None, None]
+    right = ops if sides != "left" else ID2[None, None]
+    # The Kronecker products left_a @ right_b for every pair (a, b), multiplied as np.kron does.
+    pairs = (left[:, :, None, :, None, :, None] * right[:, None, :, None, :, None, :]).reshape(len(ops), -1, 4, 4)
+    # Summed pair by pair from +0.0, so no entry comes out as -0.0.
+    return (pairs @ states[:, None] @ pairs.conj().swapaxes(-1, -2)).sum(axis=1, initial=0.0)
 
 
 def apply_channel(rho: np.ndarray, channel: KrausChannel, sides: str = "both") -> np.ndarray:
@@ -108,11 +159,4 @@ def apply_channel(rho: np.ndarray, channel: KrausChannel, sides: str = "both") -
     """
     if sides not in SIDES:
         raise ValueError(f"sides must be one of {SIDES}, got {sides!r}")
-    mat = np.asarray(rho, dtype=complex)
-    ops = np.array(channel.ops)
-    left = ops if sides != "right" else ID2[None]
-    right = ops if sides != "left" else ID2[None]
-    # The Kronecker products left_a @ right_b for every pair (a, b), multiplied as np.kron does.
-    pairs = (left[:, None, :, None, :, None] * right[None, :, None, :, None, :]).reshape(-1, 4, 4)
-    # Summed pair by pair from +0.0, so no entry comes out as -0.0.
-    return (pairs @ mat @ pairs.conj().swapaxes(-1, -2)).sum(axis=0, initial=0.0)
+    return _apply_kraus(np.asarray(rho, dtype=complex)[None], np.array(channel.ops)[None], sides)[0]

@@ -93,24 +93,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _grid(cfg: dict, axes: list[ScanAxis]) -> Iterator[tuple[tuple[float, ...], NetworkSpec]]:
     """Yield each point of the axes' grid in row-major order, with the network built at it.
 
-    The networks of a chunk of points are built one by one and then filtered and bounded as one
-    stack (``_bound_chains``), so each ``evaluate`` reads its spec's results.  A point that fails to
-    build ends its chunk: its error is raised only once the caller has taken every earlier point,
-    so an earlier point's own error, read when the caller evaluates it, comes first.
+    The networks of a chunk of points are built in stacked passes (``network_factory``'s ``chunk``) and
+    then filtered and bounded as one stack (``_bound_chains``), so each ``evaluate`` reads its spec's
+    results.  A point that fails to build ends its chunk: its error is raised only once the caller has
+    taken every earlier point, so an earlier point's own error, read when the caller evaluates it, comes first.
     """
     build = network_factory(cfg, [axis.path for axis in axes])
     points = itertools.product(*[axis.values.tolist() for axis in axes])
     while chunk := list(itertools.islice(points, _STACK_SIZE)):
-        built = []
-        error = None
-        for values in chunk:
-            try:
-                built.append((values, build(values)))
-            except ValueError as exc:
-                error = exc
-                break
-        _bound_chains([spec for _, spec in built])
-        yield from built
+        specs, strengths, error = build.chunk(chunk)
+        _bound_chains(specs, strengths)
+        yield from zip(chunk, specs)
         if error is not None:
             raise error
 

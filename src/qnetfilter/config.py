@@ -18,7 +18,7 @@ the optimizer's free parameters) address values with dotted paths such as
 
 from __future__ import annotations
 
-import copy
+import functools
 import json
 import math
 from collections.abc import Callable, Sequence
@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import SIDES, amplitude_damping, apply_channel, bit_flip
+from .channels import _TYPES as _CHANNEL_TYPES
+from .channels import SIDES, _apply_kraus, _check_param, _kraus_ops
 from .core import matrix_from_pairs, validate_density
-from .filtering import NetworkFilterSpec
-from .nlocal import MeasurementSettings, NetworkSpec
+from .filtering import NetworkFilterSpec, _check_eps
+from .nlocal import MeasurementSettings, NetworkSpec, _validate_chains
 from .states import grud_state, pure_theta_state, product_state, werner_state, x_state
 
 __all__ = [
@@ -58,9 +59,6 @@ _FAMILIES = {
     "product": (product_state, ("m", "n")),
     "explicit": (lambda matrix: validate_density(matrix_from_pairs(matrix)), ("matrix",)),
 }
-
-_CHANNEL_TYPES = {"bit_flip": bit_flip, "amplitude_damping": amplitude_damping}
-
 
 class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field."""
@@ -190,41 +188,80 @@ def _build_link(index: int, entry: object) -> np.ndarray:
         raise ConfigError(f"links.{index}: {exc}") from None
 
 
-def _apply_channels(cfg: dict, states: list[np.ndarray]) -> list[np.ndarray]:
-    channels = cfg.get("channels", [])
-    if not isinstance(channels, list):
-        raise ConfigError("channels must be an array")
-    for position, entry in enumerate(channels):
-        _fields(entry, f"channels.{position}", ("link", "type", "param", "sides"), ("link", "type", "param"))
-        link = entry["link"]
-        if not _is_json_number(link, int) or not 1 <= link <= len(states):
-            raise ConfigError(f"channels.{position}.link must be a 1-based link index, got {link!r}")
-        kind = entry["type"]
-        if not isinstance(kind, str) or kind not in _CHANNEL_TYPES:
-            raise ConfigError(f"channels.{position}.type: unknown channel type {kind!r}")
-        sides = entry.get("sides", "both")
-        if sides not in SIDES:
-            raise ConfigError(f"channels.{position}.sides must be one of {SIDES}, got {sides!r}")
-        param = _number(entry["param"], f"channels.{position}.param")
-        try:
-            channel = _CHANNEL_TYPES[kind](param)
-            states[link - 1] = apply_channel(states[link - 1], channel, sides=sides)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"channels.{position}: {exc}") from None
-    return states
-
-
-def _states(cfg: dict, link: Callable[[int, object], np.ndarray]) -> list[np.ndarray]:
-    """The link states, each one ``link(index, entry)``, with all channels applied in channel order."""
+def _links(cfg: dict, link: Callable[[int, object], np.ndarray]) -> list[np.ndarray]:
+    """The link states before any channel, each one ``link(index, entry)``."""
     links = cfg.get("links")
     if not isinstance(links, list) or not links:
         raise ConfigError("links must be a non-empty array")
-    return _apply_channels(cfg, [link(index, entry) for index, entry in enumerate(links)])
+    return [link(index, entry) for index, entry in enumerate(links)]
+
+
+# One channel entry as read from a config: its 1-based link, its type, its sides and its parameter.
+_Channel = tuple[int, str, str, float]
+
+
+def _channel_entries(cfg: dict, n_links: int) -> tuple[list[_Channel], ConfigError | None]:
+    """Each channel entry, in channel order, up to the first invalid one, and that one's error (None if none is)."""
+    entries: list[_Channel] = []
+    try:
+        channels = cfg.get("channels", [])
+        if not isinstance(channels, list):
+            raise ConfigError("channels must be an array")
+        for position, entry in enumerate(channels):
+            _fields(entry, f"channels.{position}", ("link", "type", "param", "sides"), ("link", "type", "param"))
+            link = entry["link"]
+            if not _is_json_number(link, int) or not 1 <= link <= n_links:
+                raise ConfigError(f"channels.{position}.link must be a 1-based link index, got {link!r}")
+            kind = entry["type"]
+            if not isinstance(kind, str) or kind not in _CHANNEL_TYPES:
+                raise ConfigError(f"channels.{position}.type: unknown channel type {kind!r}")
+            sides = entry.get("sides", "both")
+            if sides not in SIDES:
+                raise ConfigError(f"channels.{position}.sides must be one of {SIDES}, got {sides!r}")
+            param = _number(entry["param"], f"channels.{position}.param")
+            try:
+                _check_param(kind, param)
+            except ValueError as exc:
+                raise ConfigError(f"channels.{position}: {exc}") from None
+            entries.append((link, kind, sides, param))
+    except ConfigError as exc:
+        return entries, exc
+    return entries, None
+
+
+def _apply_channels(chains: np.ndarray, entries: list[list[_Channel]]) -> tuple[int, ConfigError] | None:
+    """Apply to each of the ``(k, n, 4, 4)`` ``chains``, in place, its list of channel ``entries``, in channel order.
+
+    At each channel position, the chains whose entry has the same link, type and sides take one stack of
+    Kraus operators, checked for completeness at once, and one application.  Returns the first chain whose
+    operators fail that check, with the error of its first failing entry, or None.
+    """
+    failure = None
+    for position in range(max(map(len, entries), default=0)):
+        groups: dict[tuple[int, str, str], list[int]] = {}
+        for row, channels in enumerate(entries):
+            if position < len(channels):
+                groups.setdefault(channels[position][:3], []).append(row)
+        for (link, kind, sides), rows in groups.items():
+            ops, incomplete = _kraus_ops(kind, [entries[row][position][3] for row in rows])
+            chains[rows, link - 1] = _apply_kraus(chains[rows, link - 1], ops, sides)
+            # An earlier chain's failure, or one at an earlier position of the same chain, comes first.
+            if incomplete is not None and (failure is None or rows[incomplete[0]] < failure[0]):
+                failure = rows[incomplete[0]], ConfigError(f"channels.{position}: {incomplete[1]}")
+    return failure
 
 
 def build_states(cfg: dict) -> list[np.ndarray]:
     """Build the link states with all channels applied (filters excluded)."""
-    return _states(cfg, _build_link)
+    states = _links(cfg, _build_link)
+    channels, error = _channel_entries(cfg, len(states))
+    chains = np.array([states], dtype=complex)
+    failure = _apply_channels(chains, [channels])
+    if failure is not None:
+        raise failure[1]
+    if error is not None:
+        raise error
+    return list(chains[0])
 
 
 def build_filter_spec(cfg: dict, n_links: int) -> NetworkFilterSpec:
@@ -266,48 +303,179 @@ def _link_of(path: str) -> int | None:
     return int(index[0]) if index and index[0].isascii() and index[0].isdigit() else None
 
 
-def network_factory(cfg: dict, paths: Sequence[str]) -> Callable[[Sequence[float]], NetworkSpec]:
+# A filters.* path that sets one strength: the path, its keys in a config, its index in
+# NetworkFilterSpec._flat_strengths and its name in NetworkFilterSpec's errors.
+_Slot = tuple[str, tuple[str | int, ...], int, str]
+
+
+def _filter_slots(paths: Sequence[str]) -> list[_Slot] | None:
+    """The slot of each ``filters.*`` path, in the order NetworkFilterSpec checks them.
+
+    None when a path sets anything but one strength, or sets the whole ``links`` array (and so the
+    number of strengths).
+    """
+    slots = []  # each with its place in the check order: eps_first, eps_last, then the middle pairs
+    for path in paths:
+        parts = path.split(".")
+        if parts == ["links"]:
+            return None
+        if parts[0] != "filters":
+            continue
+        if parts[1:] in (["first"], ["last"]):
+            order, slot = (0, 0) if parts[1] == "first" else (1, -1)
+            slots.append((order, (path, tuple(parts), slot, f"eps_{parts[1]}")))
+        elif parts[1:2] == ["middle"] and parts[3:] in (["0"], ["1"]) and parts[2].isascii() and parts[2].isdigit():
+            i, j = int(parts[2]), int(parts[3])
+            slots.append((2 + 2 * i + j, (path, ("filters", "middle", i, j), 1 + 2 * i + j, f"middle[{i}][{j}]")))
+        else:
+            return None
+    return [slot for _, slot in sorted(slots, key=lambda item: item[0])]
+
+
+class _NetworkFactory:
+    """The callable that ``network_factory`` returns; ``chunk`` builds many points in stacked passes."""
+
+    def __init__(self, cfg: dict, paths: Sequence[str]) -> None:
+        self._cfg = cfg
+        self._paths = list(paths)
+        self._state_paths = [k for k, path in enumerate(paths) if path.split(".", 1)[0] in _STATE_FIELDS]
+        # Each links.* value's position in a state key, and the link it sets (None: any link).
+        self._link_values = [
+            (j, _link_of(paths[k])) for j, k in enumerate(self._state_paths) if paths[k].startswith("links")
+        ]
+        # Per link index, the values on its own paths and the state constructed from them, before any channel.
+        self._constructed: dict[int, tuple[list[str], np.ndarray]] = {}
+        # The state key and the network of the last point built without error.
+        self._last: tuple[tuple[str, ...], NetworkSpec] | None = None
+        self._slots = _filter_slots(self._paths)
+        # The first point's filters and their _flat_strengths, into which a later point writes its own strengths.
+        self._template: tuple[NetworkFilterSpec, list[float]] | None = None
+
+    def __call__(self, values: Sequence[float]) -> NetworkSpec:
+        specs, _, error = self.chunk([values])
+        if error is not None:
+            raise error
+        return specs[0]
+
+    def _link(self, key: tuple[str, ...], index: int, entry: object) -> np.ndarray:
+        link_key = [key[j] for j, target in self._link_values if target in (index, None)]
+        if index not in self._constructed or self._constructed[index][0] != link_key:
+            self._constructed[index] = (link_key, _build_link(index, entry))
+        return self._constructed[index][1]
+
+    def _filters(self, point: dict, n_links: int) -> tuple[NetworkFilterSpec, list[float]]:
+        if self._template is None or self._slots is None:
+            filters = build_filter_spec(point, n_links)
+            flat = list(filters._flat_strengths)
+            if self._slots is not None:
+                self._template = filters, flat
+            return filters, flat
+        filters, flat = self._template
+        if not self._slots:
+            return filters, flat
+        values = []
+        for path, keys, _, _ in self._slots:
+            value = point
+            for key in keys:
+                value = value[key]
+            values.append(_number(value, path))
+        flat = flat.copy()
+        try:
+            for (_, _, slot, name), value in zip(self._slots, values):
+                flat[slot] = _check_eps(name, value)
+        except ValueError as exc:
+            raise ConfigError(f"filters: {exc}") from None
+        return NetworkFilterSpec._checked(flat), flat
+
+    def chunk(self, points: Sequence[Sequence[float]]) -> tuple[list[NetworkSpec], np.ndarray, ValueError | None]:
+        """The networks of the points before the first one that fails, their ``(m, n, 2)`` strengths, and its error.
+
+        A point fails as it would alone: at the first of its path, link construction, channel,
+        filter and link validation checks that fails.  The error is None when every point builds.
+        """
+        last_key = None if self._last is None else self._last[0]
+        configs: list[dict] = []
+        keys: list[tuple[str, ...]] = []
+        rows: list[int] = []  # per point, its state set's row in ``sets``, or -1: the links of ``self._last``
+        # Each new state set: its first point, its links before any channel and its channel entries.
+        sets: list[tuple[int, list[np.ndarray], list[_Channel]]] = []
+        found: dict[tuple[str, ...], int] = {}
+        error = None
+        for values in points:
+            try:
+                point = config_with_values(self._cfg, dict(zip(self._paths, values)))
+                key = tuple([repr(values[k]) for k in self._state_paths])  # repr tells 0.0 from -0.0, which == does not
+                row = -1 if key == last_key else found.get(key)
+                if row is None:
+                    states = _links(point, functools.partial(self._link, key))
+                    channels, error = _channel_entries(point, len(states))
+                    if error is None and len(states) < 2:
+                        error = ConfigError("links: a chain needs at least 2 links")
+                    # A set whose point failed after some channel entries stays, for their completeness check.
+                    sets.append((len(configs), states, channels))
+                    if error is not None:
+                        break
+                    row = found[key] = len(sets) - 1
+            except ValueError as exc:
+                error = exc
+                break
+            configs.append(point)
+            keys.append(key)
+            rows.append(row)
+        built = len(configs)
+        if sets:
+            chains = np.array([states for _, states, _ in sets], dtype=complex)
+            failure = _apply_channels(chains, [channels for _, _, channels in sets])
+            if failure is not None:
+                built, error = sets[failure[0]][0], failure[1]
+
+        flats: list[list[float]] = []
+        filters: list[NetworkFilterSpec] = []
+        for point, row in zip(configs[:built], rows):
+            try:
+                spec, flat = self._filters(point, len(sets[row][1]) if row >= 0 else self._last[1].n)
+            except ValueError as exc:
+                built, error = len(flats), exc
+                break
+            filters.append(spec)
+            flats.append(flat)
+
+        links: list[np.ndarray] = []
+        new = sum(first < built for first, _, _ in sets)
+        if new:
+            valid, invalid = _validate_chains(chains[:new])
+            if invalid is not None:
+                built, error = sets[valid][0], invalid
+            chains.flags.writeable = False
+            links = list(chains[:new])
+        specs = [
+            NetworkSpec._trusted(links[row], spec) if row >= 0 else self._last[1]._with_filters(spec)
+            for row, spec in zip(rows[:built], filters)
+        ]
+        if specs:
+            self._last = keys[built - 1], specs[-1]
+        strengths = np.array(flats[:built]).reshape(built, -1, 2) if built else np.empty((0, 0, 2))
+        return specs, strengths, error
+
+
+def network_factory(cfg: dict, paths: Sequence[str]) -> _NetworkFactory:
     """A function from values of the dotted ``paths`` to the network ``cfg`` describes with them.
 
-    Each call assigns the values with ``config_with_values``.  It rebuilds the link
-    states only when a value on a ``links.*`` or ``channels.*`` path differs from the
-    previous call that built without error; otherwise it derives the network from that
-    call's, for the new filters: the derived spec shares the validated links and their
-    unfiltered bound.  A rebuild constructs a link again only when a value on one of its
-    own ``links.<i>.*`` paths (or on the whole ``links`` array) differs from the call that
-    last constructed it; the channels are then applied to every link, in channel order.
+    Its ``chunk`` method builds the networks of many points in stacked passes, and a call builds
+    one point as a chunk of one.  Each point's config is assigned by ``config_with_values``.  The
+    points of a chunk share their link states wherever the values on their ``links.*`` and
+    ``channels.*`` paths agree, and with the last point built before, if it has them too: the
+    derived specs share the validated links and, once computed, their unfiltered bound.  Each
+    distinct state set constructs a link again only when a value on one of its own
+    ``links.<i>.*`` paths (or on the whole ``links`` array) differs from the set that last
+    constructed it.  Each channel entry is then applied to all of the chunk's new state sets at
+    once, and the sets are validated as one stack.  The first point's filters are a template:
+    a later point writes the values of its ``filters.*`` strengths into it and checks only
+    those, unless a path sets anything else under ``filters`` (or the whole ``links`` array),
+    when each point builds its filters anew.  Errors come at the point, and with the message,
+    that building the points one by one gives.
     """
-    state_paths = [k for k, path in enumerate(paths) if path.split(".", 1)[0] in _STATE_FIELDS]
-    # Each links.* value's position in a state key, and the link it sets (None: any link).
-    link_values = [(j, _link_of(paths[k])) for j, k in enumerate(state_paths) if paths[k].startswith("links")]
-    # The state-path values and the network of the last call that built without error.
-    last_key: list[str] | None = None
-    last_spec: NetworkSpec | None = None
-    # Per link index, the values on its own paths and the state constructed from them, before any channel.
-    constructed: dict[int, tuple[list[str], np.ndarray]] = {}
-
-    def build(values: Sequence[float]) -> NetworkSpec:
-        nonlocal last_key, last_spec
-        point = config_with_values(cfg, dict(zip(paths, values)))
-        key = [repr(values[k]) for k in state_paths]  # repr tells 0.0 from -0.0, which == does not
-        if key == last_key:
-            spec = last_spec._with_filters(build_filter_spec(point, last_spec.n))
-        else:
-
-            def link(index: int, entry: object) -> np.ndarray:
-                link_key = [key[j] for j, target in link_values if target in (index, None)]
-                if index not in constructed or constructed[index][0] != link_key:
-                    constructed[index] = (link_key, _build_link(index, entry))
-                return constructed[index][1]
-
-            states = _states(point, link)
-            if len(states) < 2:
-                raise ConfigError("links: a chain needs at least 2 links")
-            spec = NetworkSpec(links=tuple(states), filters=build_filter_spec(point, len(states)))
-        last_key, last_spec = key, spec
-        return spec
-
-    return build
+    return _NetworkFactory(cfg, paths)
 
 
 def build_settings(cfg: dict) -> MeasurementSettings | None:
@@ -339,7 +507,7 @@ class ScanAxis:
         """The grid, built only when read: ``threshold`` needs just ``low`` and ``high``."""
         try:
             return np.linspace(self.low, self.high, self.steps)
-        except (MemoryError, ValueError):  # ValueError: more steps than an array can index
+        except (MemoryError, ValueError, IndexError):  # more steps than an array can index or numpy can count
             message = f"scan axis {self.path!r}: a grid of {self.steps} steps is too large to allocate"
             raise ConfigError(message) from None
 
@@ -393,7 +561,7 @@ def config_with_values(cfg: dict, assignments: dict[str, float]) -> dict:
         *head, leaf = _keys(copied, path)
         parent: object = copied
         for key in head:
-            parent[key] = copy.copy(parent[key])
+            parent[key] = parent[key].copy()  # _keys descended into it, so it is a dict or a list
             parent = parent[key]
         parent[leaf] = value
     return copied

@@ -82,6 +82,13 @@ class NetworkFilterSpec:
         """All-ones assignment for a chain of ``n_links`` links."""
         return cls(middle=((1.0, 1.0),) * (n_links - 1))
 
+    @classmethod
+    def _checked(cls, flat: list[float]) -> "NetworkFilterSpec":
+        """The spec of ``_flat_strengths`` that are floats in [0, 1] already: nothing is checked again."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(eps_first=flat[0], eps_last=flat[-1], middle=tuple(zip(flat[1:-1:2], flat[2:-1:2])))
+        return spec
+
     @property
     def _flat_strengths(self) -> tuple[float, ...]:
         """(eps_first, *middle pairs, eps_last): entries 2j and 2j+1 are link j's strengths (left, right)."""

@@ -32,6 +32,7 @@ from .core import (
     ID2,
     PAULIS,
     _bloch_form,
+    _first_failure,
     _quaternion_unitary,
     bloch_decompose,
     from_bloch,
@@ -110,11 +111,17 @@ class NetworkSpec:
     def n(self) -> int:
         return len(self.links)
 
+    @classmethod
+    def _trusted(cls, links: np.ndarray, filters: NetworkFilterSpec) -> NetworkSpec:
+        """The spec of read-only links validated elsewhere, under filters that fit them: nothing is checked again."""
+        spec = object.__new__(cls)  # skips __post_init__, which would validate the links
+        spec.__dict__.update(links=links, filters=filters)
+        return spec
+
     def _with_filters(self, filters: NetworkFilterSpec) -> NetworkSpec:
         """This chain under ``filters``: the links are not validated again, and a computed unfiltered bound is kept."""
         _check_chain(self.n, filters)
-        derived = object.__new__(type(self))  # skips __post_init__, which would validate the links
-        derived.__dict__.update(links=self.links, filters=filters)
+        derived = self._trusted(self.links, filters)
         if "_unfiltered" in self.__dict__:
             derived.__dict__["_unfiltered"] = self._unfiltered
         return derived
@@ -202,10 +209,25 @@ def b_seq(spec: NetworkSpec) -> tuple[float, float]:
     return spec._filtered_bound, spec._filtered[1]
 
 
-def _bound_chains(specs: list[NetworkSpec]) -> None:
+def _validate_chains(chains: np.ndarray) -> tuple[int, ValueError | None]:
+    """Validate a complex ``(k, n, 4, 4)`` stack of chains in one pass, each as ``NetworkSpec`` validates its links.
+
+    Returns the number of chains before the first invalid one and that chain's error, or ``(k, None)``.
+    """
+    try:
+        validate_density(chains)
+    except ValueError:
+        (chain, _), error = _first_failure(chains)
+        return chain, error
+    return len(chains), None
+
+
+def _bound_chains(specs: list[NetworkSpec], strengths: np.ndarray) -> None:
     """Filter and bound the chains of ``specs``, all of one length, as one stack, and keep the results on each spec.
 
-    One ``_bound`` for the distinct raw chains (specs derived by ``_with_filters`` share theirs), one
+    ``strengths`` holds the specs' ``(m, n, 2)`` filter strengths, row by row.
+
+    One ``_bound`` for the distinct raw chains (the specs of one state set share its links array), one
     ``_filter_chains`` and one ``_bound`` for the chains that survive, with the arithmetic of
     ``_unfiltered``, ``_filtered`` and ``_filtered_bound`` on one spec, so every float is theirs to the
     bit.  A spec whose chain annihilates keeps only its raw bound: its own filtering raises the
@@ -218,7 +240,6 @@ def _bound_chains(specs: list[NetworkSpec]) -> None:
     try:
         unique = np.stack(list(distinct.values()))
         raw = _bound(_bloch_form(unique).W).tolist()
-        strengths = np.array([spec.filters._flat_strengths for spec in specs]).reshape(len(specs), -1, 2)
         filtered, success, alive = _filter_chains(unique[index], strengths)
         bounds = iter(_bound(_bloch_form(filtered[alive]).W).tolist())
     except ValueError:

@@ -28,7 +28,11 @@ every ``ValueError``, that these calls give:
 - the rows of a 5x5 scan of a trilocal chain over link 2's ``v`` and the
   strength of a bit flip on link 1, which carries a fixed amplitude damping
   before it: the factory constructs link 2 again for each ``v`` and reuses
-  links 1 and 3, and applies both channels to link 1 in order at each point.
+  links 1 and 3, and applies both channels to link 1 in order at each point;
+- the rows of a 7x5 scan of a trilocal chain over an amplitude damping on the
+  left qubit of link 1 and the first strength, which filters that qubit;
+- each point's ``evaluate`` result along a 4x7 scan whose bit flip leaves
+  [0, 1] at its fourth value, and the error that ends the grid at point 21.
 
 Two commits that print the same hash computed the same bits on this corpus, so
 a change meant to keep every output can be checked by running the script before
@@ -191,6 +195,42 @@ REUSE_SCAN_CONFIG = {
     ]},
 }
 
+# Amplitude damping on link 1's left qubit, which the first strength filters.
+DAMPED_SCAN_CONFIG = {
+    "links": [
+        {"family": "grud", "v": 0.15, "x": 0.4},
+        {"family": "werner", "p": 0.8},
+        {"family": "x", "x1": 0.5, "x2": 0.2, "x3": 0.3, "x4": 0.35},
+    ],
+    "channels": [{"link": 1, "type": "amplitude_damping", "param": 0.0, "sides": "left"}],
+    "filters": {"first": 0.9, "last": 0.8, "middle": [[0.7, 0.9], [0.6, 0.95]]},
+    "scan": {"axes": [
+        {"path": "channels.0.param", "min": 0.0, "max": 0.9, "steps": 7},
+        {"path": "filters.first", "min": 0.2, "max": 1.0, "steps": 5},
+    ]},
+}
+# The bit flip on link 2 takes 0, 0.4, 0.8 and 1.2: the grid fails at point 21, the first at 1.2.
+FAILING_SCAN_CONFIG = {
+    "links": [{"family": "grud", "v": 0.1, "x": x} for x in (0.35, 0.56, 0.78)],
+    "channels": [{"link": 2, "type": "bit_flip", "param": 0.0}],
+    "filters": {"first": 0.9, "last": 0.8, "middle": [[0.6, 0.99], [0.7, 0.95]]},
+    "scan": {"axes": [
+        {"path": "channels.0.param", "min": 0.0, "max": 1.2, "steps": 4},
+        {"path": "filters.middle.1.0", "min": 0.25, "max": 1.0, "steps": 7},
+    ]},
+}
+
+
+def grid_outcomes(cfg: dict) -> list:
+    """Each point of ``cli._grid`` with its ``evaluate`` result, then the error that ends the grid, if one does."""
+    outcomes = []
+    try:
+        for values, spec in cli._grid(cfg, scan_axes(cfg)):
+            outcomes.append((values, evaluate(spec)))
+    except ValueError as exc:
+        outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
+
 
 def region_search(cfg: dict) -> list:
     """Whether ``cli._run_region`` finds a witness, what it prints, and each of its ``evaluate`` outcomes."""
@@ -254,6 +294,8 @@ def fingerprint() -> tuple[str, int, int]:
         outcomes.append(_record(digest, optimize_objective, values))
     outcomes.append(_record(digest, region_search, REGION_CONFIG))
     outcomes.append(_record(digest, cli._scan_rows, REUSE_SCAN_CONFIG))
+    outcomes.append(_record(digest, cli._scan_rows, DAMPED_SCAN_CONFIG))
+    outcomes.append(_record(digest, grid_outcomes, FAILING_SCAN_CONFIG))
     return digest.hexdigest(), len(outcomes), sum(outcomes)
 
 

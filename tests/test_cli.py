@@ -599,9 +599,9 @@ def test_the_workload_grid_validates_each_state_set_and_the_filtered_stack_once(
     for module in ("core", "states", "config", "filtering", "nlocal"):
         monkeypatch.setattr(f"qnetfilter.{module}.validate_density", counted)
     _scan_rows(_workload_scan_config(("channels.0.param", "filters.middle.1.0"), 7))
-    # The three grud links once; per noise value, the chain with its channel applied; then the 49
-    # chains' filter outputs as one stack.
-    assert validated == [(4, 4)] * 3 + [(3, 4, 4)] * 7 + [(147, 4, 4)]
+    # The three grud links once; the 7 chains with their channel applied, one per noise value, as one
+    # stack; then the 49 chains' filter outputs as one stack.
+    assert validated == [(4, 4)] * 3 + [(7, 3, 4, 4)] + [(147, 4, 4)]
 
 
 _TRILOCAL_GRUDS = [{"family": "grud", "v": 0.1, "x": x} for x in (0.35, 0.56, 0.78)]
@@ -753,6 +753,82 @@ def test_scan_fails_at_the_first_failing_point_with_its_message(tmp_path, capsys
     expected = _pointwise_scan(cfg)
     assert expected[0] == code
     assert _run(capsys, "scan", "--config", _write(tmp_path, cfg)) == expected
+
+
+def _channel_scan_config(kind, filter_steps):
+    """The workload chain with a ``kind`` channel on link 2, its parameter outer (0, 0.4, 0.8, 1.2), a strength inner."""
+    cfg = _workload_scan_config(("channels.0.param", "filters.middle.1.0"), 2)
+    cfg["channels"][0]["type"] = kind
+    cfg["scan"]["axes"] = [
+        {"path": "channels.0.param", "min": 0.0, "max": 1.2, "steps": 4},
+        {"path": "filters.middle.1.0", "min": 0.25, "max": 1.0, "steps": filter_steps},
+    ]
+    return cfg
+
+
+@pytest.mark.parametrize("kind, name", [("bit_flip", "p"), ("amplitude_damping", "gamma")])
+@pytest.mark.parametrize("filter_steps", [7, 342], ids=["mid-chunk", "second-chunk"])
+def test_a_channel_parameter_out_of_range_fails_at_its_first_point(tmp_path, capsys, kind, name, filter_steps):
+    # The 4th distinct parameter, 1.2, first comes at point 3 * filter_steps: point 21 of the only chunk's
+    # 28, or point 1,026, the third of the second chunk, which opens with the third parameter's links.
+    cfg = _channel_scan_config(kind, filter_steps)
+    expected = _pointwise_scan(cfg)
+    assert expected == (2, "", f"config error: channels.0: {name} must lie in [0, 1], got 1.2\n")
+    assert _run(capsys, "scan", "--config", _write(tmp_path, cfg)) == expected
+
+
+def test_a_filter_out_of_range_where_the_state_key_changes_fails_there(tmp_path, capsys):
+    # Point 7 opens the second row: its noise value goes back to 0, and its first strength of 1.25 fails.
+    cfg = _workload_scan_config(("channels.0.param", "filters.middle.1.0"), 2)
+    cfg["scan"]["axes"] = [
+        {"path": "filters.first", "min": 0.5, "max": 1.25, "steps": 2},
+        {"path": "channels.0.param", "min": 0.0, "max": 0.3, "steps": 7},
+    ]
+    expected = _pointwise_scan(cfg)
+    assert expected == (2, "", "config error: filters: eps_first must lie in [0, 1], got 1.25\n")
+    assert _run(capsys, "scan", "--config", _write(tmp_path, cfg)) == expected
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ("filters.middle.0", "filters.middle must be an array of [eps1, eps2] pairs"),
+        ("channels.0.link", "channels.0.link must be a 1-based link index, got 0.5"),
+        ("channels.0.sides", "channels.0.sides must be one of ('both', 'left', 'right'), got 0.5"),
+    ],
+)
+def test_a_scan_path_on_a_filter_pair_or_a_channel_field_fails_at_the_first_point(tmp_path, capsys, path, message):
+    cfg = _workload_scan_config(("channels.0.param", "filters.middle.1.0"), 3)
+    cfg["scan"]["axes"].insert(0, {"path": path, "min": 0.5, "max": 1.0, "steps": 3})
+    expected = _pointwise_scan(cfg)
+    assert expected == (2, "", f"config error: {message}\n")
+    assert _run(capsys, "scan", "--config", _write(tmp_path, cfg)) == expected
+
+
+# A valid explicit link with 2.4999e-10i on each diagonal entry: amplitude damping of gamma on both of
+# its qubits gathers (1 + gamma)^2 of that on |00><00|, a Hermiticity deviation of 1.125e-9 at gamma 0.5.
+_IMAGINARY_DIAGONAL = {"family": "explicit", "matrix": matrix_to_pairs(np.diag([0.5, 0.0, 0.5, 0.0]) + 2.4999e-10j * np.eye(4))}
+
+
+def test_a_chain_that_its_channel_makes_invalid_fails_at_its_first_point(tmp_path, capsys):
+    # The three points at gamma 0 evaluate; the fourth, at gamma 0.5, fails validation.
+    cfg = {
+        "links": [_IMAGINARY_DIAGONAL, {"family": "werner", "p": 0.9}],
+        "channels": [{"link": 1, "type": "amplitude_damping", "param": 0.0}],
+        "filters": {"first": 1.0, "last": 1.0, "middle": [[1.0, 0.8]]},
+        "scan": {"axes": [
+            {"path": "channels.0.param", "min": 0.0, "max": 0.5, "steps": 2},
+            {"path": "filters.last", "min": 0.5, "max": 1.0, "steps": 3},
+        ]},
+    }
+    expected = _pointwise_scan(cfg)
+    assert expected == (2, "", "config error: hermiticity deviation 1.125e-09 exceeds 1e-09\n")
+    assert _run(capsys, "scan", "--config", _write(tmp_path, cfg)) == expected
+    evaluated = []
+    with pytest.raises(ValueError, match="^hermiticity deviation"):
+        for values, spec in _grid(cfg, scan_axes(cfg)):
+            evaluated.append(evaluate(spec))
+    assert len(evaluated) == 3
 
 
 def test_scan_output_is_deterministic(tmp_path, capsys):
@@ -985,10 +1061,11 @@ def test_threshold_ignores_an_enormous_steps(tmp_path, capsys, no_linspace):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("error", [MemoryError, ValueError], ids=["memory", "size"])
+@pytest.mark.parametrize("error", [MemoryError, ValueError, IndexError], ids=["memory", "size", "index"])
 def test_scan_with_a_grid_too_large_to_allocate_is_a_config_error(tmp_path, capsys, monkeypatch, error):
-    # numpy refuses such a grid with MemoryError, or with ValueError past the largest array it can
-    # index; the refusal is simulated, so no test allocates a grid of 10^11 steps.
+    # numpy refuses such a grid with MemoryError, with ValueError past the largest array it can index,
+    # or with IndexError from 2**63 steps on; the refusal is simulated, so no test allocates a grid of
+    # 10^11 steps.
     def refuse(*args, **kwargs):
         raise error("grid too large")
 
@@ -997,6 +1074,15 @@ def test_scan_with_a_grid_too_large_to_allocate_is_a_config_error(tmp_path, caps
     assert (code, out) == (2, "")
     assert err == (
         "config error: scan axis 'channels.0.param': a grid of 100000000000 steps is too large to allocate\n"
+    )
+
+
+def test_scan_with_2_to_the_63_steps_is_a_config_error(tmp_path, capsys):
+    # numpy raises IndexError for this many steps before it allocates anything.
+    code, out, err = _run(capsys, "scan", "--config", _write(tmp_path, _bitflip_threshold_config(2**63)))
+    assert (code, out) == (2, "")
+    assert err == (
+        "config error: scan axis 'channels.0.param': a grid of 9223372036854775808 steps is too large to allocate\n"
     )
 
 
@@ -1058,7 +1144,7 @@ def test_a_b_lin_threshold_validates_each_network_once(monkeypatch):
     (axis,) = scan_axes(config)
     _threshold(config, axis, "b_lin")
     assert len(built) == 14
-    assert validated == [(2, 4, 4)] * 14
+    assert validated == [(1, 2, 4, 4)] * 14  # each point a chunk of one
 
 
 def test_a_b_lin_threshold_along_a_filter_axis_bounds_the_chain_once(monkeypatch):

@@ -28,7 +28,7 @@ from qnetfilter import (
     validate_density,
     werner_state,
 )
-from qnetfilter import config
+from qnetfilter import channels, config
 from qnetfilter.cli import _scan_rows
 from qnetfilter.config import build_filter_spec, config_seed, config_with_values, network_factory
 
@@ -320,8 +320,8 @@ class TestNetworkFactory:
     """A repeated state key derives the network from the last one built; any other key builds it anew."""
 
     ORDERS = pytest.mark.parametrize(
-        "outer, inner, validations",
-        [("channels.0.param", "filters.middle.0.1", 7), ("filters.middle.0.1", "channels.0.param", 49)],
+        "outer, inner",
+        [("channels.0.param", "filters.middle.0.1"), ("filters.middle.0.1", "channels.0.param")],
         ids=["states-outer", "states-inner"],
     )
 
@@ -337,12 +337,13 @@ class TestNetworkFactory:
         return calls
 
     @ORDERS
-    def test_a_scan_validates_the_links_once_per_state_key(self, validated, outer, inner, validations) -> None:
+    def test_a_scan_validates_the_links_once_per_state_key(self, validated, outer, inner) -> None:
+        # The grid is one chunk: its 7 distinct state sets, in either order, are validated as one stack.
         _scan_rows(noisy_trilocal_config(outer, inner))
-        assert validated == [(3, 4, 4)] * validations
+        assert validated == [(7, 3, 4, 4)]
 
     @ORDERS
-    def test_every_point_evaluates_as_a_fresh_network(self, outer, inner, validations) -> None:
+    def test_every_point_evaluates_as_a_fresh_network(self, outer, inner) -> None:
         cfg = noisy_trilocal_config(outer, inner)
         axes = scan_axes(cfg)
         paths = [axis.path for axis in axes]
@@ -390,6 +391,154 @@ class TestNetworkFactory:
         build = network_factory(cfg, paths)
         assert [hex_words(build(values)) for values in points] == expected
         assert constructed == [0, 1, 2, 0, 1, 2]  # only link 3 moved, yet all three are constructed again
+
+
+def pointwise(cfg: dict, paths: list[str], points: list) -> tuple[list[NetworkSpec], ValueError | None]:
+    """The networks of ``points``, each built alone from its own states, up to the first that fails, and its error."""
+    built = []
+    for values in points:
+        try:
+            point = config_with_values(cfg, dict(zip(paths, values)))
+            states = build_states(point)
+            built.append(NetworkSpec(tuple(states), build_filter_spec(point, len(states))))
+        except ValueError as exc:
+            return built, exc
+    return built, None
+
+
+def assert_chunk_is_pointwise(cfg: dict, paths: list[str], points: list) -> tuple[list[NetworkSpec], ValueError | None]:
+    """``chunk`` builds what ``pointwise`` builds, to the bit, and fails where and as it fails."""
+    specs, strengths, error = network_factory(cfg, paths).chunk(points)
+    expected, expected_error = pointwise(cfg, paths, points)
+    assert [spec.links.tobytes() for spec in specs] == [spec.links.tobytes() for spec in expected]
+    assert [spec.filters for spec in specs] == [spec.filters for spec in expected]
+    assert (type(error), str(error)) == (type(expected_error), str(expected_error))
+    assert [row.ravel().tolist() for row in strengths] == [list(spec.filters._flat_strengths) for spec in specs]
+    return specs, error
+
+
+# An explicit link with 2.4999e-10i on each diagonal entry, valid to a Hermiticity deviation of 5e-10:
+# amplitude damping of gamma on both qubits takes that to 5e-10 (1 + gamma)^2, over 1e-9 from gamma 0.42.
+IMAGINARY_DIAGONAL = {"family": "explicit", "matrix": matrix_to_pairs(np.diag([0.5, 0.0, 0.5, 0.0]) + 2.4999e-10j * np.eye(4))}
+DAMPED = {
+    "links": [IMAGINARY_DIAGONAL, {"family": "werner", "p": 0.9}],
+    "channels": [{"link": 1, "type": "amplitude_damping", "param": 0.0}],
+    "filters": {"first": 1.0, "last": 1.0, "middle": [[1.0, 0.8]]},
+}
+# Deviations that fail the completeness check from a parameter of 0.3 on, for both channel types.
+PARAMETER_AS_DEVIATION = 0.3
+
+
+@pytest.fixture
+def incomplete_from_0_3(monkeypatch) -> None:
+    """Make each channel's completeness deviation its parameter (the squared last Kraus operator's [0, 1] entry)."""
+    monkeypatch.setattr(channels, "_deviations", lambda ops: np.abs(ops[..., -1, 0, 1]) ** 2)
+    monkeypatch.setattr(channels, "COMPLETENESS_ATOL", PARAMETER_AS_DEVIATION)
+
+
+class TestChunk:
+    """``chunk`` builds many points in stacked passes, and each point as it builds alone."""
+
+    PATHS = ["channels.0.param", "filters.last"]
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([(0.0, 0.5), (0.0, 0.7), (0.0, 1.0)], None),
+            # Point 1's links fail validation.
+            ([(0.0, 0.5), (0.5, 0.7), (0.0, 1.0)], "^hermiticity deviation 1.125e-09"),
+            # Point 1 opens a set whose links fail validation, but its filters fail first.
+            ([(0.0, 0.5), (0.5, 1.5)], r"^filters: eps_last must lie in \[0, 1\], got 1.5$"),
+            # Point 1's filters fail before point 2's links.
+            ([(0.0, 0.5), (0.0, 1.5), (0.5, 0.7)], r"^filters: eps_last"),
+            # Point 1's channel fails before its filters.
+            ([(0.0, 0.5), (1.5, 1.5)], r"^channels.0: gamma must lie in \[0, 1\], got 1.5$"),
+            # The set of point 0 comes back at point 2 and is not built again.
+            ([(0.0, 0.5), (0.3, 0.5), (0.0, 0.7), (0.3, 0.9)], None),
+        ],
+    )
+    def test_errors_come_at_the_point_and_stage_of_a_pointwise_build(self, points, message) -> None:
+        specs, error = assert_chunk_is_pointwise(DAMPED, self.PATHS, points)
+        if message is None:
+            assert error is None
+        else:
+            assert re.match(message, str(error))
+        assert len({id(spec.links) for spec in specs}) == len({values[0] for values in points[: len(specs)]})
+
+    def test_the_last_set_of_a_chunk_carries_over_to_the_next(self) -> None:
+        build = network_factory(DAMPED, self.PATHS)
+        first, _, _ = build.chunk([(0.0, 0.5), (0.2, 0.5)])
+        second, _, _ = build.chunk([(0.2, 0.7), (0.0, 0.7)])
+        assert second[0].links is first[1].links and second[1].links is not first[0].links
+
+    @pytest.mark.parametrize(
+        "paths, points, message",
+        [
+            (["filters.middle.0.1", "filters.last", "filters.first"], [(0.5, 0.5, 0.5), (1.5, 1.5, 1.5)], "eps_first"),
+            (["filters.middle.0.1", "filters.last", "filters.first"], [(0.5, 0.5, 0.5), (1.5, 1.5, 0.5)], "eps_last"),
+            (["filters.middle.0.1", "filters.last", "filters.first"], [(0.5, 0.5, 0.5), (1.5, 0.5, 0.5)], "middle"),
+            (["filters.middle.0.1", "filters.first"], [(0.5, 0.5), (-0.5, "x")], "filters.first must be a number"),
+            (["filters.middle.0", "filters.middle.0.1"], [(0.5, 0.5)], "no such config path"),
+            (["filters.middle.0."], [(0.5,)], "no such config path"),
+            # The pair assigned last replaces the strength assigned first.
+            (["filters.middle.0.1", "filters.middle.0"], [(0.5, [0.2, 0.3]), (1.5, [0.2, 0.4])], None),
+        ],
+        ids=["eps_first", "eps_last", "middle", "not-a-number", "descends-into-a-float", "empty-part", "pair-after-strength"],
+    )
+    def test_filter_errors_come_in_the_order_that_building_the_filters_gives(self, paths, points, message) -> None:
+        _, error = assert_chunk_is_pointwise(DAMPED, paths, points)
+        assert message in str(error) if message else error is None
+
+    def test_only_the_first_point_builds_its_filters(self, monkeypatch) -> None:
+        built = []
+        build_filter_spec = config.build_filter_spec
+
+        def counted(cfg, n_links):
+            built.append(n_links)
+            return build_filter_spec(cfg, n_links)
+
+        monkeypatch.setattr(config, "build_filter_spec", counted)
+        assert_chunk_is_pointwise(DAMPED, ["filters.middle.0.1", "channels.0.param"], [(0.5, 0.0), (0.6, 0.2)])
+        assert built == [2]  # the template, into which the second point writes its strength
+        built.clear()
+        assert_chunk_is_pointwise(DAMPED, ["filters.middle.0", "channels.0.param"], [([0.5, 0.6], 0.0)] * 2)
+        assert built == [2, 2]  # a path on a pair: each point builds its filters
+
+    @pytest.mark.parametrize(
+        "paths, points, message",
+        [
+            # Chain 2 fails at its first channel, chain 1 at its second: chain 1's failure comes first.
+            (["channels.0.param", "channels.1.param"], [(0.1, 0.1), (0.2, 0.5), (0.5, 0.2)], "^channels.1: amplitude_damping"),
+            (["channels.0.param", "channels.1.param"], [(0.1, 0.1), (0.5, 0.5)], r"^channels.0: bit_flip\(p=0.5\)"),
+            # The second channel's link is not an index: the first channel fails completeness before it.
+            (["channels.0.param", "channels.1.link"], [(0.1, 1.0)], "^channels.1.link must be"),
+            (["channels.0.param", "channels.1.link"], [(0.5, 1.0)], "^channels.0: bit_flip"),
+        ],
+    )
+    def test_a_channel_that_fails_completeness_fails_at_its_point(
+        self, incomplete_from_0_3, paths, points, message
+    ) -> None:
+        cfg = copy.deepcopy(DAMPED)
+        cfg["links"][0] = {"family": "grud", "v": 0.1, "x": 0.3}
+        cfg["channels"] = [
+            {"link": 1, "type": "bit_flip", "param": 0.0, "sides": "left"},
+            {"link": 1, "type": "amplitude_damping", "param": 0.0},
+        ]
+        _, error = assert_chunk_is_pointwise(cfg, paths, points)
+        assert re.match(message, str(error)), error
+
+    def test_completeness_is_checked_before_the_chain_length(self, incomplete_from_0_3) -> None:
+        cfg = {"links": [{"family": "werner", "p": 0.5}], "channels": [{"link": 1, "type": "bit_flip", "param": 0.0}]}
+        build = network_factory(cfg, ["channels.0.param"])
+        with pytest.raises(ConfigError, match="^links: a chain needs at least 2 links$"):
+            build((0.1,))
+        message = r"^channels.0: bit_flip\(p=0.5\): Kraus completeness deviation 5.000e-01 exceeds 3e-01$"
+        with pytest.raises(ConfigError, match=message):
+            build((0.5,))
+        with pytest.raises(ConfigError, match=message):
+            build_states(config_with_values(cfg, {"channels.0.param": 0.5}))
+        with pytest.raises(ValueError, match=message[len("^channels.0: "):]):
+            bit_flip(0.5)
 
 
 class TestBuildSettings:

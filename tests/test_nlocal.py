@@ -288,6 +288,11 @@ class TestDerivedSpec:
         assert "_unfiltered" not in spec.__dict__
 
 
+def _strengths(specs: list[NetworkSpec]) -> np.ndarray:
+    """The ``(m, n, 2)`` filter strengths of ``specs``, as ``network_factory`` gives them for a chunk."""
+    return np.array([spec.filters._strengths for spec in specs])
+
+
 def _random_filters(rng: np.random.Generator, n: int) -> NetworkFilterSpec:
     eps = rng.uniform(0.05, 1.0, size=2 * n).tolist()
     return NetworkFilterSpec(eps[0], eps[-1], tuple(zip(eps[1:-1:2], eps[2::2])))
@@ -316,7 +321,7 @@ class TestBoundChains:
 
     def test_each_spec_keeps_its_own_floats(self) -> None:
         specs = self.chains(np.random.default_rng(28))
-        nlocal._bound_chains(specs)
+        nlocal._bound_chains(specs, _strengths(specs))
         for spec in specs:
             fresh = NetworkSpec(links=spec.links, filters=spec.filters)
             assert spec.__dict__["_unfiltered"].hex() == fresh._unfiltered.hex()
@@ -335,7 +340,7 @@ class TestBoundChains:
     def test_evaluate_reads_the_kept_results(self, monkeypatch) -> None:
         specs = self.chains(np.random.default_rng(29))
         expected = [dataclasses.astuple(evaluate(NetworkSpec(links=s.links, filters=s.filters))) for s in specs[:2]]
-        nlocal._bound_chains(specs)
+        nlocal._bound_chains(specs, _strengths(specs))
 
         def unexpected(*args):
             raise AssertionError("recomputed a kept result")
@@ -346,7 +351,7 @@ class TestBoundChains:
 
     def test_the_workload_grid_decomposes_each_raw_chain_once(self, monkeypatch) -> None:
         # A trilocal grud chain with bit flip on link 2, over 7 noise values and 7 filter strengths:
-        # the factory derives the 7 specs of one noise value from its first, so they share its links.
+        # the factory builds the 7 specs of one noise value on one links array.
         cfg = {
             "links": [{"family": "grud", "v": 0.1, "x": x} for x in (0.35, 0.56, 0.78)],
             "channels": [{"link": 2, "type": "bit_flip", "param": 0.0}],
@@ -354,7 +359,8 @@ class TestBoundChains:
         }
         build = network_factory(cfg, ["channels.0.param", "filters.middle.0.1"])
         grid = itertools.product(np.linspace(0.0, 0.3, 7).tolist(), np.linspace(0.3, 1.0, 7).tolist())
-        specs = [build(values) for values in grid]
+        specs, strengths, error = build.chunk(list(grid))
+        assert error is None and np.array_equal(strengths, _strengths(specs))
         expected = [NetworkSpec(links=spec.links, filters=spec.filters)._unfiltered.hex() for spec in specs]
         decomposed = []
 
@@ -363,7 +369,7 @@ class TestBoundChains:
             return _bloch_form(mat)
 
         monkeypatch.setattr(nlocal, "_bloch_form", counted)
-        nlocal._bound_chains(specs)
+        nlocal._bound_chains(specs, strengths)
         assert decomposed == [(7, 3, 4, 4), (49, 3, 4, 4)]  # the raw chains, then the filtered ones
         assert [spec.__dict__["_unfiltered"].hex() for spec in specs] == expected
 
@@ -379,7 +385,7 @@ class TestBoundChains:
             links[0] = np.diag([0.5, 0.25, 0.25 + 9e-10, -9e-10])  # the filter amplifies its eigenvalue of -9e-10
             filters = NetworkFilterSpec(eps_first=1e-4, middle=((1e-4, 1.0), (1.0, 1.0)))
         specs[position] = NetworkSpec(links=links, filters=filters)
-        nlocal._bound_chains(specs)
+        nlocal._bound_chains(specs, _strengths(specs))
         assert all(spec.__dict__.keys() == {"links", "filters"} for spec in specs)
         with pytest.raises(ValueError, match="^decomposition coefficient|^link 1: filtered state has"):
             evaluate(specs[position])

@@ -19,7 +19,11 @@ On X-states see Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007).
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import copy
+import csv
+import io
 import itertools
 import json
 import math
@@ -28,9 +32,11 @@ import re
 import numpy as np
 import pytest
 
-from qnetfilter import b_seq, build_network, cli
+from fuzz_cli import fuzz
+from qnetfilter import b_seq, build_network, cli, evaluate
 from qnetfilter.config import network_factory, scan_axes
 from record_cli_goldens import CASES, GOLDENS_PATH, run_case
+from test_fuzz_cli import SLICE
 
 ATOL = 1e-12
 # The CLI prints 12 significant digits: a printed value is within this fraction of its float.
@@ -235,6 +241,83 @@ def test_scan_rows_of_a_grid_in_two_chunks_match_the_closed_form() -> None:
             assert row[6] == ("1" if expected[1] > 1.0 else "0"), (values, row)
         bounds.append(expected[1])
     assert min(bounds) < 1.0 < max(bounds)
+
+
+def _assert_scan_matches_the_closed_form(cfg: dict) -> None:
+    """Each scan point's floats to ATOL, and each printed row, against the closed form at its values."""
+    paths, points = _grid_points(cfg)
+    _, rows = cli._scan_rows(cfg)
+    built = list(cli._grid(cfg, scan_axes(cfg)))
+    assert [values for values, _ in built] == points and len(rows) == len(points)
+    for (values, spec), row in zip(built, rows):
+        expected = _closed_form_point(cfg, paths, values)
+        result = evaluate(spec)
+        assert all(abs(a - b) <= ATOL for a, b in zip((result.b_lin, result.b_seq, result.success_prob), expected))
+        assert all(_printed(text, value) for text, value in zip(row[len(paths) : len(paths) + 3], expected)), row
+
+
+def _channel_grid_config(channels: list[dict], path: str) -> dict:
+    """Three X-state links, ``channels`` on link 2, scanned over ``path`` (a channel parameter) and a strength."""
+    return {
+        "links": [
+            {"family": "grud", "v": 0.05, "x": 0.6},
+            {"family": "x", "x1": 0.45, "x2": 0.1, "x3": 0.45, "x4": 0.4},
+            {"family": "pure_theta", "theta": 0.7},
+        ],
+        "channels": channels,
+        "filters": {"first": 0.9, "last": 0.8, "middle": [[0.7, 0.6], [0.95, 0.5]]},
+        "scan": {"axes": [
+            {"path": path, "min": 0.0, "max": 0.9, "steps": 7},
+            {"path": "filters.middle.0.1", "min": 0.1, "max": 1.0, "steps": 5},
+        ]},
+    }
+
+
+@pytest.mark.parametrize("sides", ["left", "right", "both"])
+@pytest.mark.parametrize("kind", ["bit_flip", "amplitude_damping"])
+def test_scan_rows_along_a_channel_parameter_match_the_closed_form(kind, sides) -> None:
+    # The channel pass applies the 7 parameters to link 2 as one stack.
+    _assert_scan_matches_the_closed_form(
+        _channel_grid_config([{"link": 2, "type": kind, "param": 0.0, "sides": sides}], "channels.0.param")
+    )
+
+
+def test_scan_rows_along_the_second_channel_on_a_link_match_the_closed_form() -> None:
+    channels = [
+        {"link": 2, "type": "bit_flip", "param": 0.2, "sides": "left"},
+        {"link": 2, "type": "amplitude_damping", "param": 0.0, "sides": "both"},
+    ]
+    _assert_scan_matches_the_closed_form(_channel_grid_config(channels, "channels.1.param"))
+
+
+def test_every_fuzzed_eval_and_scan_that_succeeds_matches_the_closed_form(tmp_path) -> None:
+    # The configs of the fixed-seed fuzz slice of tests/test_fuzz_cli.py that exit 0 through eval or
+    # scan with X-state links only, run again for their output.
+    argvs = {name: argv for name, _, argv in CASES}
+    path = tmp_path / "config.json"
+    checked = collections.Counter()
+    for name, cfg, code, _ in fuzz(seed=0, count=SLICE):
+        command = argvs[name][0]
+        if code != 0 or command not in ("eval", "scan") or any(link["family"] not in FAMILIES for link in cfg["links"]):
+            continue
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main([command, "--config", str(path)]) == 0
+        if command == "eval":
+            printed = json.loads(out.getvalue())
+            expected = _closed_form_point(cfg, [], ())
+            for key, value in zip(("b_lin", "b_seq", "success_prob"), expected):
+                assert abs(printed[key] - value) <= ATOL, (key, cfg)
+        else:
+            paths, points = _grid_points(cfg)
+            rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+            assert len(rows) == len(points)
+            for values, row in zip(points, rows):
+                expected = _closed_form_point(cfg, paths, values)
+                assert all(_printed(text, value) for text, value in zip(row[len(paths) : len(paths) + 3], expected))
+        checked[command] += 1
+    assert checked == {"eval": 4, "scan": 9}  # the slice's such runs: most mutations make a config fail
 
 
 def test_the_region_witness_matches_the_closed_form(capsys) -> None:
