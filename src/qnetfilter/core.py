@@ -12,7 +12,6 @@ correlation tensor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +46,12 @@ ID2 = np.eye(2, dtype=complex)
 HERMITICITY_ATOL = 1e-9
 TRACE_ATOL = 1e-9
 POSITIVITY_ATOL = 1e-9
+# validate_density passes a stack whose Hermitian parts H each have a Cholesky factor of H + CHOLESKY_SHIFT * I.
+# The 1e-12 margin below POSITIVITY_ATOL is over a thousand times the rounding error of that factorisation and of
+# eigvalsh on a trace-one state (tests/probe_positivity_margin.py measures both), so such a stack passes the
+# eigvalsh rule as well.
+CHOLESKY_SHIFT = POSITIVITY_ATOL - 1e-12
+_SHIFT = CHOLESKY_SHIFT * np.eye(4)
 # Imaginary parts smaller than this are discarded when extracting real
 # decomposition coefficients; anything larger means the matrix is not Hermitian.
 IMAG_ATOL = 1e-10
@@ -70,34 +75,60 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     Raises ValueError for non-finite entries, then NotHermitian / NotUnitTrace /
     NotPositive with the measured deviation in the message, in that order.  A
     stack is checked in one pass and raises its first failing matrix's error.
+
+    Positivity means that the Hermitian part H has lambda_min >= -POSITIVITY_ATOL.
+    A stack passes without eigenvalues when one batched Cholesky factorisation of
+    H + tau I, tau = CHOLESKY_SHIFT, completes with positive pivots: then
+    H + tau I + dA is positive definite for a backward error dA of about 1e-16 on a
+    trace-one matrix, so lambda_min(H) > -tau - |dA|, which is 1e-12 inside the
+    tolerance, farther than eigvalsh's error can reach.  Only a stack that the
+    factorisation refuses has its eigenvalues computed, and they decide.
     """
     mat = np.asarray(rho, dtype=complex)
     if mat.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-    # Whole-stack reductions; NaN fails every comparison, and eigvalsh runs only on finite input.
+    # Whole-stack reductions: a non-finite entry makes the Hermiticity deviation NaN or inf, which fails it; so
+    # can finite entries above about 9e307, whose difference overflows, here without a warning.
     # The builtin abs is cheaper than np.abs on the scalar trace of a single matrix.
     adjoint = mat.swapaxes(-1, -2).conj()
-    valid = np.abs(mat - adjoint).max(initial=0.0) <= HERMITICITY_ATOL
-    valid = valid and abs(mat.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0) <= TRACE_ATOL
+    with np.errstate(over="ignore", invalid="ignore"):
+        valid = np.abs(mat - adjoint).max(initial=0.0) <= HERMITICITY_ATOL
+        valid = valid and abs(mat.trace(axis1=-2, axis2=-1) - 1.0).max(initial=0.0) <= TRACE_ATOL
     if valid and mat.size:
-        valid = np.linalg.eigvalsh(0.5 * (mat + adjoint))[..., 0].min() >= -POSITIVITY_ATOL
+        valid = _positive(0.5 * mat + 0.5 * adjoint)
     if not valid:
         raise _first_failure(mat)[1]
     return mat
 
 
+def _positive(herm: np.ndarray) -> bool:
+    """Whether every matrix of a finite Hermitian ``(..., 4, 4)`` stack has lambda_min >= -POSITIVITY_ATOL."""
+    try:
+        factor = np.linalg.cholesky(herm + _SHIFT)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        # cholesky returns NaN pivots without raising when its arithmetic overflows (entries near 1e308);
+        # min propagates NaN, which fails the comparison.
+        if factor.diagonal(axis1=-2, axis2=-1).real.min() > 0.0:
+            return True
+    return np.linalg.eigvalsh(herm)[..., 0].min() >= -POSITIVITY_ATOL
+
+
 def _first_failure(mat: np.ndarray) -> tuple[tuple[int, ...], ValueError]:
     """The C-order index of the first failing matrix of a complex ``(..., 4, 4)`` stack and its error."""
     adjoint = mat.swapaxes(-1, -2).conj()
-    herm_dev = np.abs(mat - adjoint).max(axis=(-2, -1))
-    trace_dev = np.abs(mat.trace(axis1=-2, axis2=-1) - 1.0)
-    # A non-finite entry makes herm_dev non-finite, and NaN fails both comparisons.
+    finite = np.isfinite(mat).all(axis=(-2, -1))
+    # As in validate_density: a non-finite or overflowing deviation fails its comparison, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_dev = np.abs(mat - adjoint).max(axis=(-2, -1))
+        trace_dev = np.abs(mat.trace(axis1=-2, axis2=-1) - 1.0)
     checked = (herm_dev <= HERMITICITY_ATOL) & (trace_dev <= TRACE_ATOL)
     eigmin = np.zeros(mat.shape[:-2])
-    eigmin[checked] = np.linalg.eigvalsh(0.5 * (mat + adjoint)[checked])[..., 0]
+    eigmin[checked] = np.linalg.eigvalsh(0.5 * mat[checked] + 0.5 * adjoint[checked])[..., 0]
     failing = np.argwhere(~checked | (eigmin < -POSITIVITY_ATOL))
     index = tuple(failing[0])
-    if not math.isfinite(herm_dev[index]):
+    if not finite[index]:
         return index, ValueError("matrix entries are not finite")
     if herm_dev[index] > HERMITICITY_ATOL:
         return index, NotHermitian(f"hermiticity deviation {herm_dev[index]:.3e} exceeds {HERMITICITY_ATOL:.0e}")

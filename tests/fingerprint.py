@@ -32,7 +32,12 @@ every ``ValueError``, that these calls give:
 - the rows of a 7x5 scan of a trilocal chain over an amplitude damping on the
   left qubit of link 1 and the first strength, which filters that qubit;
 - each point's ``evaluate`` result along a 4x7 scan whose bit flip leaves
-  [0, 1] at its fourth value, and the error that ends the grid at point 21.
+  [0, 1] at its fourth value, and the error that ends the grid at point 21;
+- ``validate_density`` on Haar-rotated trace-one states whose lowest
+  eigenvalue sits at -1e-9 +- 1e-14, 5e-13 and 2e-12, on both sides of the
+  tolerance and of the Cholesky shift -1e-9 + 1e-12, and on states of rank 1
+  and 2: each state alone, each band as a stack and all of them as one stack;
+  then on a state whose trace overflows to inf.
 
 Two commits that print the same hash computed the same bits on this corpus, so
 a change meant to keep every output can be checked by running the script before
@@ -59,6 +64,7 @@ from qnetfilter import (
     evaluate,
     lhs_at_settings,
     maximize_lhs,
+    validate_density,
 )
 from qnetfilter import cli, filtering
 from qnetfilter.config import network_factory, scan_axes
@@ -221,6 +227,33 @@ FAILING_SCAN_CONFIG = {
 }
 
 
+# Offsets of the lowest eigenvalue from the positivity tolerance -1e-9.
+BOUNDARY_OFFSETS = (-2e-12, -5e-13, -1e-14, 1e-14, 5e-13, 2e-12)
+# Finite entries whose trace overflows: NotUnitTrace with an infinite deviation.
+OVERFLOWING_TRACE = np.diag([1e308, 1e308, 0.0, 0.0]).astype(complex)
+
+
+def _rotated(rng: np.random.Generator, spectrum: list[float]) -> np.ndarray:
+    """U diag(spectrum) U+ for a Haar-random U: QR of a complex Ginibre matrix, R's diagonal phases fixed."""
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1.0j * rng.normal(size=(4, 4)))
+    unitary = q * (np.diag(r) / np.abs(np.diag(r)))
+    return (unitary * np.array(spectrum)) @ unitary.conj().T
+
+
+def boundary_bands() -> list[np.ndarray]:
+    """Four states per offset in ``BOUNDARY_OFFSETS``, then four of rank 1 and four of rank 2, one stack per band."""
+    rng = np.random.default_rng(31)
+    bands = []
+    for offset in BOUNDARY_OFFSETS:
+        lowest = -1e-9 + offset
+        spectra = [[lowest, *(w / w.sum() * (1.0 - lowest))] for w in rng.random((4, 3))]
+        bands.append(np.array([_rotated(rng, spectrum) for spectrum in spectra]))
+    for rank in (1, 2):
+        spectra = [[*(w / w.sum()), *[0.0] * (4 - rank)] for w in rng.random((4, rank))]
+        bands.append(np.array([_rotated(rng, spectrum) for spectrum in spectra]))
+    return bands
+
+
 def grid_outcomes(cfg: dict) -> list:
     """Each point of ``cli._grid`` with its ``evaluate`` result, then the error that ends the grid, if one does."""
     outcomes = []
@@ -296,6 +329,12 @@ def fingerprint() -> tuple[str, int, int]:
     outcomes.append(_record(digest, cli._scan_rows, REUSE_SCAN_CONFIG))
     outcomes.append(_record(digest, cli._scan_rows, DAMPED_SCAN_CONFIG))
     outcomes.append(_record(digest, grid_outcomes, FAILING_SCAN_CONFIG))
+    bands = boundary_bands()
+    for band in bands:
+        outcomes.extend(_record(digest, validate_density, state) for state in band)
+        outcomes.append(_record(digest, validate_density, band))
+    outcomes.append(_record(digest, validate_density, np.concatenate(bands)))
+    outcomes.append(_record(digest, validate_density, OVERFLOWING_TRACE))
     return digest.hexdigest(), len(outcomes), sum(outcomes)
 
 

@@ -213,6 +213,29 @@ def test_non_finite_input_names_its_field(tmp_path, capsys, command, cfg, messag
     assert (code, err) == (2, f"config error: {message}\n")
 
 
+def _overflowing_link_config(sign):
+    """An explicit link with 1e308 at [0, 1] and ``sign`` * 1e308 at [1, 0]: finite entries that overflow when
+    subtracted (``sign`` -1) or added (+1)."""
+    link = np.eye(4, dtype=complex) / 4.0
+    link[0, 1] = 1e308
+    link[1, 0] = sign * 1e308
+    return {"links": [{"family": "explicit", "matrix": matrix_to_pairs(link)}, {"family": "werner", "p": 0.5}]}
+
+
+@pytest.mark.parametrize(
+    "sign, message",
+    [
+        (-1.0, "links.0: hermiticity deviation inf exceeds 1e-09"),
+        (1.0, "links.0: minimum eigenvalue -1.000e+308 below -1e-09"),
+    ],
+    ids=["non-hermitian", "hermitian"],
+)
+def test_overflowing_link_entries_are_one_config_error(tmp_path, capsys, sign, message):
+    # Tier-1 turns warnings into errors, so an overflow warning would end this call with a RuntimeWarning.
+    code, out, err = _run(capsys, "eval", "--config", _write(tmp_path, _overflowing_link_config(sign)))
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
 def _link_config(link):
     cfg = _example_config()
     cfg["links"] = [link, cfg["links"][1]]

@@ -205,6 +205,78 @@ class TestBuildStates:
             )
 
 
+# Each channel type's Kraus operators at parameter q, written out from Nielsen and Chuang, section 8.3.
+KRAUS_OPERATORS = {
+    "bit_flip": lambda q: [np.sqrt(1.0 - q) * np.eye(2), np.sqrt(q) * np.array([[0.0, 1.0], [1.0, 0.0]])],
+    "amplitude_damping": lambda q: [np.diag([1.0, np.sqrt(1.0 - q)]), np.sqrt(q) * np.array([[0.0, 1.0], [0.0, 0.0]])],
+}
+
+
+def kraus_sum(rho: np.ndarray, kind: str, param: float, sides: str) -> np.ndarray:
+    """sum_ab (A_a (x) B_b) rho (A_a (x) B_b)+ for one state, each product built with np.kron.
+
+    A runs over the channel's operators on the left qubit, or is the identity alone when only the right
+    qubit is noisy, and B likewise on the right qubit.
+    """
+    ops = KRAUS_OPERATORS[kind](param)
+    left = ops if sides != "right" else [np.eye(2)]
+    right = ops if sides != "left" else [np.eye(2)]
+    out = np.zeros((4, 4), dtype=complex)
+    for a in left:
+        for b in right:
+            op = np.kron(a, b)
+            out += op @ rho @ op.conj().T
+    return out
+
+
+# Links of four families, one with complex entries and one with local Bloch vectors.
+REFERENCE_LINKS = [
+    {"family": "pure_theta", "theta": 0.5},
+    {"family": "grud", "v": 0.2, "x": 0.37},
+    {"family": "x", "x1": 0.5, "x2": 0.2, "x3": 0.3, "x4": 0.35},
+    {"family": "explicit", "matrix": matrix_to_pairs(
+        np.array([[0.4, 0.1j, 0.0, 0.05], [-0.1j, 0.3, 0.02, 0.0], [0.0, 0.02, 0.2, 0.01j], [0.05, 0.0, -0.01j, 0.1]])
+    )},
+]
+
+
+class TestChannelReference:
+    """build_states' channel outputs against a plain per-state Kraus sum, independent of channels._apply_kraus."""
+
+    @pytest.mark.parametrize("sides", ["left", "right", "both"])
+    @pytest.mark.parametrize("kind", ["bit_flip", "amplitude_damping"])
+    def test_one_channel_per_link(self, kind, sides) -> None:
+        params = [0.0, 0.13, 0.58, 1.0]
+        channels = [{"link": k + 1, "type": kind, "param": q, "sides": sides} for k, q in enumerate(params)]
+        states = build_states({"links": REFERENCE_LINKS, "channels": channels})
+        raw = build_states({"links": REFERENCE_LINKS})
+        for state, rho, param in zip(states, raw, params):
+            assert np.abs(state - kraus_sum(rho, kind, param, sides)).max() <= 1e-14
+
+    def test_channels_on_one_link_in_order(self) -> None:
+        channels = [
+            {"link": 2, "type": "amplitude_damping", "param": 0.3, "sides": "left"},
+            {"link": 2, "type": "bit_flip", "param": 0.2, "sides": "both"},
+            {"link": 2, "type": "amplitude_damping", "param": 0.45, "sides": "right"},
+        ]
+        state = build_states({"links": REFERENCE_LINKS, "channels": channels})[1]
+        expected = build_states({"links": REFERENCE_LINKS})[1]
+        for channel in channels:
+            expected = kraus_sum(expected, channel["type"], channel["param"], channel["sides"])
+        assert np.abs(state - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("sides", ["left", "right", "both"])
+    @pytest.mark.parametrize("kind", ["bit_flip", "amplitude_damping"])
+    def test_a_chunk_over_the_channel_parameter(self, kind, sides) -> None:
+        cfg = {"links": REFERENCE_LINKS[:3], "channels": [{"link": 3, "type": kind, "param": 0.0, "sides": sides}]}
+        points = [[q] for q in np.linspace(0.0, 1.0, 7).tolist()]
+        specs, _, error = network_factory(cfg, ["channels.0.param"]).chunk(points)
+        rho = build_states({"links": REFERENCE_LINKS[:3]})[2]
+        assert error is None
+        for spec, (param,) in zip(specs, points):
+            assert np.abs(spec.links[2] - kraus_sum(rho, kind, param, sides)).max() <= 1e-14
+
+
 class TestChannels:
     def test_applied_in_listed_order(self) -> None:
         cfg = {

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -92,6 +94,32 @@ class TestValidateDensity:
         mat[0, 1] = 1e-12
         validate_density(mat)
 
+    # Finite entries whose difference or sum overflows.  Tier-1 turns warnings into errors, so these also
+    # show that no overflow warning escapes.
+    def test_overflowing_deviation_is_not_hermitian(self) -> None:
+        with pytest.raises(NotHermitian, match=r"^hermiticity deviation inf exceeds 1e-09$"):
+            validate_density(_overflowing(-1.0))
+
+    @pytest.mark.parametrize("entry", [1e308, -9e307, 9e307j])
+    def test_overflowing_hermitian_part_is_not_positive(self, entry) -> None:
+        mat = np.eye(4, dtype=complex) / 4.0
+        mat[2, 3] = entry
+        mat[3, 2] = np.conj(entry)
+        with pytest.raises(NotPositive, match=f"^{re.escape(f'minimum eigenvalue {-abs(entry):.3e} below -1e-09')}$"):
+            validate_density(mat)
+
+    def test_overflowing_trace_is_not_unit(self) -> None:
+        with pytest.raises(NotUnitTrace, match=r"^trace deviation inf exceeds 1e-09$"):
+            validate_density(np.diag([1e308, 1e308, 0.0, 0.0]))
+
+
+def _overflowing(sign: float) -> np.ndarray:
+    """The maximally mixed state with 1e308 at [0, 1] and ``sign`` * 1e308 at [1, 0]."""
+    mat = np.eye(4, dtype=complex) / 4.0
+    mat[0, 1] = 1e308
+    mat[1, 0] = sign * 1e308
+    return mat
+
 
 def _non_hermitian() -> np.ndarray:
     mat = np.eye(4, dtype=complex) / 4.0
@@ -111,13 +139,16 @@ def _fails_every_check_but_finiteness() -> np.ndarray:
     return mat
 
 
-# Each fails a different first check of the single-matrix order: finite, Hermitian, trace, positivity.
+# Each fails a different first check of the single-matrix order: finite, Hermitian, trace, positivity;
+# the overflowing ones fail the Hermitian and the positivity check with finite entries.
 FAILING = {
     "non-finite": _non_finite(),
     "non-hermitian": _non_hermitian(),
     "wrong-trace": np.eye(4, dtype=complex) / 2.0,
     "non-positive": NOT_POSITIVE.astype(complex),
     "hermitian-first": _fails_every_check_but_finiteness(),
+    "overflowing-non-hermitian": _overflowing(-1.0),
+    "overflowing-hermitian": _overflowing(1.0),
 }
 
 
@@ -165,6 +196,121 @@ class TestValidateStack:
     def test_rejects_a_stack_of_wrong_shape(self) -> None:
         with pytest.raises(ValueError, match=r"expected a 4x4 matrix, got shape \(2, 3, 3\)"):
             validate_density(np.zeros((2, 3, 3)))
+
+
+def haar_unitaries(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` Haar-random 4x4 unitaries: QR of complex Ginibre matrices with the phases of R's diagonal fixed."""
+    q, r = np.linalg.qr(rng.normal(size=(count, 4, 4)) + 1.0j * rng.normal(size=(count, 4, 4)))
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diagonal / np.abs(diagonal))[:, None, :]
+
+
+def rotated_spectra(rng: np.random.Generator, spectra: np.ndarray) -> np.ndarray:
+    """U diag(lambda) U+ for each row lambda of ``spectra``, with a Haar-random U each."""
+    unitaries = haar_unitaries(rng, len(spectra))
+    return (unitaries * spectra[:, None, :]) @ unitaries.conj().swapaxes(-1, -2)
+
+
+def band_spectra(rng: np.random.Generator, lowest: float, count: int) -> np.ndarray:
+    """``count`` trace-one spectra: ``lowest`` and three random eigenvalues that sum to 1 - ``lowest``."""
+    weights = rng.random((count, 3))
+    rest = weights / weights.sum(axis=1, keepdims=True) * (1.0 - lowest)
+    return np.concatenate([np.full((count, 1), lowest), rest], axis=1)
+
+
+def rank_deficient_spectra(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` trace-one spectra of rank 1, 2 or 3 in turn: the other eigenvalues are exactly 0."""
+    weights = rng.random((count, 4))
+    weights[np.arange(4) >= (np.arange(count) % 3 + 1)[:, None]] = 0.0
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def eigvalsh_rule(mat: np.ndarray) -> tuple[type, str] | None:
+    """What validate_density raised on a Hermitian trace-one stack before the Cholesky certificate, or None.
+
+    The rule written out: every minimum eigenvalue of the Hermitian part, from eigvalsh, is >= -1e-9, or the
+    first matrix in C order below it is named by its minimum eigenvalue.
+    """
+    eigmin = np.linalg.eigvalsh(0.5 * (mat + mat.swapaxes(-1, -2).conj()))[..., 0].ravel()
+    failing = np.flatnonzero(eigmin < -1e-9)
+    if not failing.size:
+        return None
+    return NotPositive, f"minimum eigenvalue {eigmin[failing[0]]:.3e} below -1e-09"
+
+
+def outcome(mat: np.ndarray) -> tuple[type, str] | None:
+    try:
+        validate_density(mat)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# Minimum eigenvalues on both sides of the tolerance -1e-9 and of the Cholesky shift -1e-9 + 1e-12.
+BANDS = {
+    "below-by-1e-12": -1e-9 - 1e-12,
+    "below-by-1e-14": -1e-9 - 1e-14,
+    "inside-shift-by-5e-13": -1e-9 + 5e-13,
+    "above-shift-by-1e-12": -1e-9 + 2e-12,
+    "zero": 0.0,
+    "rank-deficient": None,
+}
+BAND_SIZE = 10_000
+
+
+def band_states(name: str) -> np.ndarray:
+    rng = np.random.default_rng(sorted(BANDS).index(name) + 101)
+    lowest = BANDS[name]
+    spectra = rank_deficient_spectra(rng, BAND_SIZE) if lowest is None else band_spectra(rng, lowest, BAND_SIZE)
+    return rotated_spectra(rng, spectra)
+
+
+class TestCholeskyCertificate:
+    """validate_density decides positivity as the eigvalsh rule does, state by state and stacked."""
+
+    @pytest.mark.parametrize("band", list(BANDS))
+    def test_decides_like_the_eigvalsh_rule(self, band, monkeypatch) -> None:
+        states = band_states(band)
+        expected = [eigvalsh_rule(state) for state in states]
+        expected_stacked = eigvalsh_rule(states)
+        eigvalsh_calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: eigvalsh_calls.append(mat.shape) or eigvalsh(mat))
+        assert [outcome(state) for state in states] == expected
+        assert outcome(states) == expected_stacked
+        lowest = BANDS[band]
+        if lowest is not None and lowest < -1e-9:
+            assert all(expected)
+        elif lowest is not None and lowest <= -1e-9 + 1e-12:
+            # Inside the shift: every state reaches the eigenvalues, one call alone and one call stacked, and passes.
+            assert not any(expected)
+            assert eigvalsh_calls == [(4, 4)] * BAND_SIZE + [states.shape]
+        else:
+            # Beyond the shift by at least 1e-12, the factorisation alone passes every state.
+            assert not any(expected)
+            assert eigvalsh_calls == []
+
+    def test_mixed_stacks_name_their_first_failure(self) -> None:
+        states = np.concatenate([band_states(band)[:400] for band in BANDS])
+        np.random.default_rng(5).shuffle(states)
+        stacks = states.reshape(-1, 6, 4, 4)
+        outcomes = [outcome(stack) for stack in stacks]
+        assert outcomes == [eigvalsh_rule(stack) for stack in stacks]
+        assert None in outcomes and any(outcomes)
+        assert outcome(stacks) == eigvalsh_rule(stacks)
+
+    def test_an_unfinished_pivot_falls_back_to_the_eigenvalues(self, monkeypatch) -> None:
+        # A factor whose diagonal is not all > 0 (NaN here) certifies nothing: eigvalsh decides.
+        eigvalsh_calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "cholesky", lambda mat: np.full_like(mat, np.nan))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: eigvalsh_calls.append(mat.shape) or eigvalsh(mat))
+        rng = np.random.default_rng(29)
+        stack = np.array([random_density(rng) for _ in range(3)])
+        assert validate_density(stack) is stack
+        assert eigvalsh_calls == [(3, 4, 4)]
+        with pytest.raises(NotPositive, match="minimum eigenvalue -5.000e-01"):
+            validate_density(np.concatenate([stack, NOT_POSITIVE[None]]))
 
 
 class TestBlochDecompose:
